@@ -38,14 +38,19 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Serial-vs-parallel campaign engine comparison plus the Clone micro-costs,
-# then the trace-replay A/B pairs aggregated into BENCH_campaign.json (the
+# then the trace-replay A/B pairs and the RI index cipher (table-driven vs
+# its bit-serial reference) aggregated into BENCH_campaign.json (the
 # checked-in record of the capture-once/replay-everywhere speedup; medians
-# across -count runs, so one noisy run cannot skew it).
+# across -count runs, so one noisy run cannot skew it). The cipher rung
+# runs on time-based benchtime: a fixed 20 iterations of a ~30 ns call
+# would time the benchmark loop, not the cipher.
 bench:
 	$(GO) test -run xxx -bench 'RunVulnerability|RunAll(Serial|Parallel)' -benchtime 2x .
 	$(GO) test -run xxx -bench Clone ./internal/mem/ ./internal/cpu/
-	$(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
-		-benchmem -benchtime 20x -count 5 . | $(GO) run ./cmd/benchjson -out BENCH_campaign.json
+	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
+		-benchmem -benchtime 20x -count 5 . && \
+	  $(GO) test -run xxx -bench PrinceEncrypt -benchtime 1s -count 5 ./internal/tlb/; } | \
+		$(GO) run ./cmd/benchjson -out BENCH_campaign.json
 
 # One-iteration pass over every benchmark: proves each still assembles its
 # experiment and meets its internal checks (defended counts, row counts)

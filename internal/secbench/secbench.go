@@ -161,10 +161,13 @@ func DefaultConfig(d Design) Config {
 		c.Ways = c.Entries
 	}
 	if d == DesignRI {
-		// A campaign trial performs a few dozen fills; re-keying every 16
-		// lands one or two re-keys inside the pattern, so the schedule (and
-		// the randidx-key-stuck fault site) is exercised mid-trial rather
-		// than being a dead knob.
+		// A campaign trial performs at most ten fills, so a 16-fill period
+		// never re-keys inside a Table 4 trial: the campaign measures the
+		// keyed index under one key per trial. The re-key path (and the
+		// randidx-key-stuck fault site) is exercised by faultbench's
+		// fault-matrix configurations, which set RekeyFills = 2. The value
+		// stays 16 because it is part of every RI campaign's configuration
+		// and so of the Table 4 output.
 		c.RekeyFills = 16
 	}
 	return c

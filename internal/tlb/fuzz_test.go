@@ -5,6 +5,8 @@ import "testing"
 // FuzzRandIdxCipher pins the properties the RI TLB's keyed indexing rests
 // on, for arbitrary blocks and keys:
 //
+//   - the table-driven cipher the TLB runs computes exactly the bit-serial
+//     reference (princeEncryptRef);
 //   - the cipher is a permutation for every key: princeDecrypt inverts
 //     princeEncrypt exactly (both compositions are the identity), and two
 //     distinct blocks never encrypt to the same output under one key;
@@ -29,6 +31,9 @@ func FuzzRandIdxCipher(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, x, key, key2, delta uint64) {
 		ct := princeEncrypt(x, key)
+		if ref := princeEncryptRef(x, key); ct != ref {
+			t.Fatalf("encrypt(%#x, %#x) = %#x, reference %#x", x, key, ct, ref)
+		}
 		if got := princeDecrypt(ct, key); got != x {
 			t.Fatalf("decrypt(encrypt(%#x, %#x)) = %#x, not the identity", x, key, got)
 		}
