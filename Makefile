@@ -41,15 +41,19 @@ race:
 # then the trace-replay A/B pairs and the RI index cipher (table-driven vs
 # its bit-serial reference) aggregated into BENCH_campaign.json (the
 # checked-in record of the capture-once/replay-everywhere speedup; medians
-# across -count runs, so one noisy run cannot skew it). The cipher rung
-# runs on time-based benchtime: a fixed 20 iterations of a ~30 ns call
-# would time the benchmark loop, not the cipher.
+# across -count runs, so one noisy run cannot skew it). The Table 4 rungs
+# include the RF campaign on the checked path (Table4SecurityEvalRFChecked:
+# interpreter plus assertion monitor). The cipher and monitored-Translate
+# rungs run on time-based benchtime: a fixed 20 iterations of a call that
+# takes nanoseconds to microseconds would time the benchmark loop, not the
+# call.
 bench:
 	$(GO) test -run xxx -bench 'RunVulnerability|RunAll(Serial|Parallel)' -benchtime 2x .
 	$(GO) test -run xxx -bench Clone ./internal/mem/ ./internal/cpu/
 	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
 		-benchmem -benchtime 20x -count 5 . && \
-	  $(GO) test -run xxx -bench PrinceEncrypt -benchtime 1s -count 5 ./internal/tlb/; } | \
+	  $(GO) test -run xxx -bench PrinceEncrypt -benchtime 1s -count 5 ./internal/tlb/ && \
+	  $(GO) test -run xxx -bench Translate -benchmem -benchtime 1s -count 5 ./internal/assert/; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_campaign.json
 
 # One-iteration pass over every benchmark: proves each still assembles its

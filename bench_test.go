@@ -67,6 +67,10 @@ func benchTable4(b *testing.B, d secbench.Design, trials, wantDefended int, disa
 	// empirical capacity below the defended threshold.
 	cfg.Trials = trials
 	cfg.DisableTrace = disableTrace
+	runTable4(b, cfg, wantDefended)
+}
+
+func runTable4(b *testing.B, cfg secbench.Config, wantDefended int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := cfg.RunAll()
@@ -90,6 +94,16 @@ func BenchmarkTable4SecurityEvalRF(b *testing.B) { benchTable4(b, secbench.Desig
 // records.
 func BenchmarkTable4SecurityEvalRFFullExec(b *testing.B) {
 	benchTable4(b, secbench.DesignRF, 120, 24, true)
+}
+
+// BenchmarkTable4SecurityEvalRFChecked is the RF campaign on the checked
+// path (secbench -invariants -no-trace): every trial executes on the
+// interpreter under the assertion monitor, which snapshots the TLB array
+// before and after every access.
+func BenchmarkTable4SecurityEvalRFChecked(b *testing.B) {
+	cfg := secbench.DefaultConfig(secbench.DesignRF)
+	cfg.Trials, cfg.DisableTrace, cfg.Invariants = 120, true, true
+	runTable4(b, cfg, 24)
 }
 
 // The RI and FS extension designs run the same scaled-down Table 4 campaign

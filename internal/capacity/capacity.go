@@ -286,7 +286,12 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	if resamples <= 0 || c.Mapped == 0 || c.NotMapped == 0 {
+	// With p1 and p2 each 0 or 1 every binomial draw is certain (next() lies
+	// in [0, 1)), so every replicate redraws the observed counts and the
+	// interval is the point estimate; such counts never reach the memo.
+	p1, p2 := c.Probabilities()
+	certain := (p1 == 0 || p1 == 1) && (p2 == 0 || p2 == 1)
+	if resamples <= 0 || c.Mapped == 0 || c.NotMapped == 0 || certain {
 		v := c.Capacity()
 		return v, v, nil
 	}
@@ -295,7 +300,21 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 		cv := v.(bootstrapVal)
 		return cv.lo, cv.hi, nil
 	}
-	p1, p2 := c.Probabilities()
+	lo, hi, err = c.bootstrapResample(ctx, resamples, conf, seed, p1, p2)
+	if err != nil {
+		return 0, 0, err
+	}
+	if bootstrapCacheN.Add(1) <= bootstrapCacheCap {
+		bootstrapCache.Store(key, bootstrapVal{lo, hi})
+	} else {
+		bootstrapCacheN.Add(-1)
+	}
+	return lo, hi, nil
+}
+
+// bootstrapResample computes the percentile interval by resampling, without
+// the memo.
+func (c Counts) bootstrapResample(ctx context.Context, resamples int, conf float64, seed uint64, p1, p2 float64) (lo, hi float64, err error) {
 	caps := make([]float64, resamples)
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -324,11 +343,6 @@ func (c Counts) BootstrapCICtx(ctx context.Context, resamples int, conf float64,
 	hiIdx := int((1 - alpha) * float64(resamples))
 	if hiIdx >= resamples {
 		hiIdx = resamples - 1
-	}
-	if bootstrapCacheN.Add(1) <= bootstrapCacheCap {
-		bootstrapCache.Store(key, bootstrapVal{caps[loIdx], caps[hiIdx]})
-	} else {
-		bootstrapCacheN.Add(-1)
 	}
 	return caps[loIdx], caps[hiIdx], nil
 }

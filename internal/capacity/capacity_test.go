@@ -264,6 +264,33 @@ func TestBootstrapCI(t *testing.T) {
 	}
 }
 
+// TestBootstrapCIDegenerateClosedForm pins the closed form for counts whose
+// every binomial draw is certain (each miss probability 0 or 1) against the
+// full resampling path, bit for bit, including sizes that take the parallel
+// path, and checks that such calls never occupy a memo slot.
+func TestBootstrapCIDegenerateClosedForm(t *testing.T) {
+	before := bootstrapCacheN.Load()
+	for _, n := range []int{1, 7, 500, 1000} {
+		for _, shape := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			c := Counts{Mapped: n, MappedMisses: shape[0] * n, NotMapped: n + 3, NotMappedMisses: shape[1] * (n + 3)}
+			p1, p2 := c.Probabilities()
+			for _, resamples := range []int{1, 50, 300} {
+				for _, seed := range []uint64{1, 2, 0xdeadbeef} {
+					lo, hi := c.BootstrapCI(resamples, 0.95, seed)
+					wantLo, wantHi, err := c.bootstrapResample(context.Background(), resamples, 0.95, seed, p1, p2)
+					if err != nil || lo != wantLo || hi != wantHi {
+						t.Errorf("%+v r=%d seed=%d: closed form [%v,%v], resampled [%v,%v] (err %v)",
+							c, resamples, seed, lo, hi, wantLo, wantHi, err)
+					}
+				}
+			}
+		}
+	}
+	if after := bootstrapCacheN.Load(); after != before {
+		t.Errorf("degenerate calls changed the memo size: %d -> %d", before, after)
+	}
+}
+
 func TestBootstrapCICtx(t *testing.T) {
 	c := Counts{Mapped: 500, MappedMisses: 167, NotMapped: 500, NotMappedMisses: 158}
 	// A live context reproduces BootstrapCI bit-for-bit, including at the

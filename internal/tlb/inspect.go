@@ -13,33 +13,37 @@ package tlb
 // fault injection is per-machine state, armed by the campaign runner on each
 // worker's machine for exactly one trial at a time.
 
-// EntrySnapshot is an exported view of one TLB entry, as captured by
-// SnapshotAppend and mutated through CorruptEntry.
+// EntrySnapshot is one TLB entry. It is the storage type of every
+// inspectable design's array, so SnapshotAppend is a plain copy of the
+// array and CorruptEntry mutates the live entry. Field order packs the
+// struct into 32 bytes so an 8-way set scan touches four cache lines instead
+// of five — lookups scan sets on every access, so the layout is hot.
 type EntrySnapshot struct {
-	Valid bool
-	ASID  ASID
-	VPN   VPN
-	PPN   PPN
-	// Sec is the RF TLB's Sec bit (always false on SA/SP designs).
-	Sec bool
+	VPN VPN
+	PPN PPN
 	// Stamp is the LRU timestamp; larger is more recent.
 	Stamp uint64
+	ASID  ASID
+	Valid bool
+	// Sec is the RF TLB's Sec bit (paper §4.2.2; always false elsewhere).
+	Sec bool
 }
 
 // Inspectable is implemented by designs whose array state can be observed
 // (runtime invariant checking) and perturbed (fault injection). The
-// single-array designs — SetAssoc, SP and RF — implement it; compositions
-// (TwoLevel, Coalesced) do not.
+// single-array designs — SetAssoc, SP, RF, RandIdx and FlushOnSwitch —
+// implement it; compositions (TwoLevel, Coalesced) do not.
 type Inspectable interface {
 	// SnapshotAppend appends the current array contents to dst in set-major
-	// order (set 0 ways 0..W-1, then set 1, ...) and returns the extended
-	// slice. Invalid ways are included, so the result always holds exactly
-	// Entries() elements beyond len(dst).
+	// order (set 0 ways 0..W-1, then set 1, ...) — one copy of the design's
+	// contiguous backing array — and returns the extended slice. Invalid
+	// ways are included, so the result always holds exactly Entries()
+	// elements beyond len(dst).
 	SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot
-	// CorruptEntry applies f to a snapshot of the valid entry at (set, way)
-	// and writes the mutated snapshot back, modelling an in-array bit error.
-	// It reports whether an entry was corrupted; invalid ways and
-	// out-of-range coordinates are left untouched.
+	// CorruptEntry applies f in place to the valid entry at (set, way),
+	// modelling an in-array bit error. It reports whether an entry was
+	// corrupted; invalid ways and out-of-range coordinates are left
+	// untouched.
 	CorruptEntry(set, way int, f func(*EntrySnapshot)) bool
 	// SetFaultHook installs h as the design's fault-injection hook, or
 	// removes it when h is nil.
@@ -141,38 +145,18 @@ func (h *FaultHook) autoFlushAllowed() bool {
 	return h.OnAutoFlush()
 }
 
-// snapshotAppend converts a design's set array to EntrySnapshots, set-major.
-func snapshotAppend(dst []EntrySnapshot, sets [][]entry) []EntrySnapshot {
-	for s := range sets {
-		for w := range sets[s] {
-			e := &sets[s][w]
-			dst = append(dst, EntrySnapshot{
-				Valid: e.valid, ASID: e.asid, VPN: e.vpn, PPN: e.ppn,
-				Sec: e.sec, Stamp: e.stamp,
-			})
-		}
-	}
-	return dst
-}
-
 // corruptEntry implements CorruptEntry over a design's set array.
 func corruptEntry(sets [][]entry, set, way int, f func(*EntrySnapshot)) bool {
-	if set < 0 || set >= len(sets) || way < 0 || way >= len(sets[set]) {
+	if set < 0 || set >= len(sets) || way < 0 || way >= len(sets[set]) || !sets[set][way].Valid {
 		return false
 	}
-	e := &sets[set][way]
-	if !e.valid {
-		return false
-	}
-	s := EntrySnapshot{Valid: e.valid, ASID: e.asid, VPN: e.vpn, PPN: e.ppn, Sec: e.sec, Stamp: e.stamp}
-	f(&s)
-	*e = entry{valid: s.Valid, asid: s.ASID, vpn: s.VPN, ppn: s.PPN, sec: s.Sec, stamp: s.Stamp}
+	f(&sets[set][way])
 	return true
 }
 
 // SnapshotAppend implements Inspectable.
 func (t *SetAssoc) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
+	return append(dst, t.backing...)
 }
 
 // CorruptEntry implements Inspectable.
@@ -185,7 +169,7 @@ func (t *SetAssoc) SetFaultHook(h *FaultHook) { t.hook = h }
 
 // SnapshotAppend implements Inspectable.
 func (t *SP) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
+	return append(dst, t.backing...)
 }
 
 // CorruptEntry implements Inspectable.
@@ -198,7 +182,7 @@ func (t *SP) SetFaultHook(h *FaultHook) { t.hook = h }
 
 // SnapshotAppend implements Inspectable.
 func (t *RF) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
+	return append(dst, t.backing...)
 }
 
 // CorruptEntry implements Inspectable.
@@ -211,7 +195,7 @@ func (t *RF) SetFaultHook(h *FaultHook) { t.hook = h }
 
 // SnapshotAppend implements Inspectable.
 func (t *RandIdx) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
+	return append(dst, t.backing...)
 }
 
 // CorruptEntry implements Inspectable.
@@ -224,7 +208,7 @@ func (t *RandIdx) SetFaultHook(h *FaultHook) { t.hook = h }
 
 // SnapshotAppend implements Inspectable.
 func (t *FlushOnSwitch) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return snapshotAppend(dst, t.sets)
+	return append(dst, t.backing...)
 }
 
 // CorruptEntry implements Inspectable.

@@ -53,7 +53,7 @@ func entriesOf(tl TLB) []entry {
 	var out []entry
 	for _, set := range sets {
 		for _, e := range set {
-			if e.valid {
+			if e.Valid {
 				out = append(out, e)
 			}
 		}
@@ -79,9 +79,9 @@ func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
 	// Invariant 1: no duplicate (asid, vpn) translations.
 	seen := map[[2]uint64]bool{}
 	for _, e := range entriesOf(tl) {
-		k := [2]uint64{uint64(e.asid), uint64(e.vpn)}
+		k := [2]uint64{uint64(e.ASID), uint64(e.VPN)}
 		if seen[k] {
-			t.Logf("duplicate translation (%d,%#x)", e.asid, e.vpn)
+			t.Logf("duplicate translation (%d,%#x)", e.ASID, e.VPN)
 			return false
 		}
 		seen[k] = true
@@ -89,9 +89,9 @@ func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
 	// Invariant 2: every valid entry resides in the set its VPN indexes.
 	for s, set := range setsOf(tl) {
 		for _, e := range set {
-			if e.valid && geom.setIndex(e.vpn) != s {
+			if e.Valid && geom.setIndex(e.VPN) != s {
 				t.Logf("entry (%d,%#x) stored in set %d, indexes set %d",
-					e.asid, e.vpn, s, geom.setIndex(e.vpn))
+					e.ASID, e.VPN, s, geom.setIndex(e.VPN))
 				return false
 			}
 		}
@@ -128,13 +128,13 @@ func TestQuickSPInvariants(t *testing.T) {
 		// victim change could violate this; the stream keeps victim fixed.)
 		for _, set := range sp.sets {
 			for w, e := range set {
-				if !e.valid {
+				if !e.Valid {
 					continue
 				}
 				inVictimWays := w < sp.victimWays
-				isVictim := e.asid == sp.victim
+				isVictim := e.ASID == sp.victim
 				if inVictimWays != isVictim {
-					t.Logf("partition violation: asid %d in way %d", e.asid, w)
+					t.Logf("partition violation: asid %d in way %d", e.ASID, w)
 					return false
 				}
 			}
@@ -160,8 +160,8 @@ func TestQuickRFInvariants(t *testing.T) {
 		// RF-specific invariant: every Sec-marked entry lies inside the
 		// secure region and belongs to the victim.
 		for _, e := range entriesOf(rf) {
-			if e.sec && (e.asid != victimID || e.vpn < 0x40 || e.vpn >= 0x45) {
-				t.Logf("sec bit set on (%d,%#x) outside secure region", e.asid, e.vpn)
+			if e.Sec && (e.ASID != victimID || e.VPN < 0x40 || e.VPN >= 0x45) {
+				t.Logf("sec bit set on (%d,%#x) outside secure region", e.ASID, e.VPN)
 				return false
 			}
 		}

@@ -136,7 +136,7 @@ func (t *RandIdx) find(s int, asid ASID, vpn VPN) int {
 	set := t.sets[s]
 	for w := range set {
 		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
+		if e.Valid && e.VPN == vpn && e.ASID == asid {
 			return w
 		}
 	}
@@ -171,10 +171,10 @@ func (t *RandIdx) translate(asid ASID, vpn VPN, res *Result) error {
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			e.Stamp = t.clock
 		}
 		t.stats.Hits++
-		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles+rekeyCost
+		res.PPN, res.Hit, res.Cycles = e.PPN, true, t.timing.HitCycles+rekeyCost
 		return nil
 	}
 	t.stats.Misses++
@@ -196,11 +196,11 @@ func (t *RandIdx) translate(asid ASID, vpn VPN, res *Result) error {
 		return nil
 	}
 	e := &t.sets[s][w]
-	if e.valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
+	if e.Valid {
+		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Stamp: t.clock}
 	t.stats.Fills++
 	t.fills++
 	if action == FillDuplicate {
@@ -228,7 +228,7 @@ func (t *RandIdx) FlushAll() {
 func (t *RandIdx) FlushASID(asid ASID) {
 	for s := range t.sets {
 		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
+			if t.sets[s][w].Valid && t.sets[s][w].ASID == asid {
 				t.sets[s][w] = entry{}
 			}
 		}
@@ -257,7 +257,7 @@ func (t *RandIdx) FlushPageAllASIDs(vpn VPN) bool {
 	for s := range t.sets {
 		for w := range t.sets[s] {
 			e := &t.sets[s][w]
-			if e.valid && e.vpn == vpn {
+			if e.Valid && e.VPN == vpn {
 				*e = entry{}
 				any = true
 			}

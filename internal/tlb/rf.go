@@ -30,15 +30,15 @@ import "fmt"
 // the ablation study: random fills are then dropped whenever the previous
 // miss was "recent" (within LazyFillWindow lookups), modelling starvation.
 type RF struct {
-	geom   geometry
-	timing Timing
-	walker Walker
-	sets   [][]entry
+	geom    geometry
+	timing  Timing
+	walker  Walker
+	sets    [][]entry
 	backing []entry // contiguous storage behind sets, cleared whole on FlushAll
-	clock  uint64
-	stats  Stats
-	rng    *rng
-	hook   *FaultHook
+	clock   uint64
+	stats   Stats
+	rng     *rng
+	hook    *FaultHook
 
 	victim    ASID
 	hasVictim bool
@@ -126,7 +126,7 @@ func (t *RF) find(s int, asid ASID, vpn VPN) int {
 	set := t.sets[s]
 	for w := range set {
 		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
+		if e.Valid && e.VPN == vpn && e.ASID == asid {
 			return w
 		}
 	}
@@ -172,8 +172,8 @@ func (t *RF) fill(asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 	// entry), just refresh its LRU position.
 	hit, victim := findOrVictim(t.sets[s], asid, vpn)
 	if hit >= 0 {
-		t.sets[s][hit].stamp = t.clock
-		t.sets[s][hit].sec = sec
+		t.sets[s][hit].Stamp = t.clock
+		t.sets[s][hit].Sec = sec
 		return
 	}
 	if t.hook != nil && t.hook.OnFill != nil {
@@ -193,11 +193,11 @@ func (t *RF) fill(asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 // innermost write of every simulated campaign.
 func (t *RF) fillWay(s, w int, asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 	e := &t.sets[s][w]
-	if e.valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
+	if e.Valid {
+		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, sec: sec, stamp: t.clock}
+	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Sec: sec, Stamp: t.clock}
 }
 
 // fillWayHooked is the fill path with an OnFill fault hook armed.
@@ -208,11 +208,11 @@ func (t *RF) fillWayHooked(s, w int, asid ASID, vpn VPN, ppn PPN, sec bool, res 
 		return
 	}
 	e := &t.sets[s][w]
-	if e.valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
+	if e.Valid {
+		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, sec: sec, stamp: t.clock}
+	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Sec: sec, Stamp: t.clock}
 	if action == FillDuplicate {
 		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
 			t.sets[s][w2] = *e
@@ -254,10 +254,10 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			e.Stamp = t.clock
 		}
 		t.stats.Hits++
-		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
+		res.PPN, res.Hit, res.Cycles = e.PPN, true, t.timing.HitCycles
 		return nil
 	}
 	t.stats.Misses++
@@ -265,7 +265,7 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	// identified the entry R the requested translation would evict; read
 	// its Sec bit.
 	secD := t.secure(asid, vpn)
-	secR := t.sets[s][rWay].valid && t.sets[s][rWay].sec
+	secR := t.sets[s][rWay].Valid && t.sets[s][rWay].Sec
 
 	// Walk the requested translation D; its result always goes back to the
 	// processor (directly or through the no-fill buffer).
@@ -371,7 +371,7 @@ func (t *RF) PredictRandomFill(g *RNG, asid ASID, vpn VPN) (VPN, bool, error) {
 	}
 	secD := t.secure(asid, vpn)
 	rWay := lruWay(t.sets[s])
-	secR := t.sets[s][rWay].valid && t.sets[s][rWay].sec
+	secR := t.sets[s][rWay].Valid && t.sets[s][rWay].Sec
 	if !secD && !secR {
 		return 0, false, nil
 	}
@@ -407,7 +407,7 @@ func (t *RF) FlushAll() {
 func (t *RF) FlushASID(asid ASID) {
 	for s := range t.sets {
 		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
+			if t.sets[s][w].Valid && t.sets[s][w].ASID == asid {
 				t.sets[s][w] = entry{}
 			}
 		}
@@ -436,7 +436,7 @@ func (t *RF) FlushPageAllASIDs(vpn VPN) bool {
 	any := false
 	for w := range t.sets[s] {
 		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
+		if e.Valid && e.VPN == vpn {
 			*e = entry{}
 			any = true
 		}

@@ -11,14 +11,14 @@ import "fmt"
 // A fully-associative TLB ("FA TLB") is a SetAssoc with ways == entries; the
 // paper's TLB-disabled approximation ("1E") is a SetAssoc with one entry.
 type SetAssoc struct {
-	geom   geometry
-	timing Timing
-	walker Walker
-	sets   [][]entry
+	geom    geometry
+	timing  Timing
+	walker  Walker
+	sets    [][]entry
 	backing []entry // contiguous storage behind sets, cleared whole on FlushAll
-	clock  uint64
-	stats  Stats
-	hook   *FaultHook
+	clock   uint64
+	stats   Stats
+	hook    *FaultHook
 }
 
 var _ TLB = (*SetAssoc)(nil)
@@ -75,15 +75,16 @@ func (t *SetAssoc) find(s int, asid ASID, vpn VPN) int {
 	set := t.sets[s]
 	for w := range set {
 		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
+		if e.Valid && e.VPN == vpn && e.ASID == asid {
 			return w
 		}
 	}
 	return -1
 }
 
-// newSets allocates a set array over one contiguous backing slice; FlushAll
-// clears the backing in a single memclr.
+// newSets allocates a set array over one contiguous backing slice, set i
+// at backing[i*ways:]: FlushAll clears the backing in a single memclr and
+// SnapshotAppend copies it, set-major, in a single memmove.
 func newSets(g geometry) ([][]entry, []entry) {
 	sets := make([][]entry, g.sets)
 	backing := make([]entry, g.entries)
@@ -104,12 +105,12 @@ func findOrVictim(set []entry, asid ASID, vpn VPN) (hit, victim int) {
 	oldest := ^uint64(0)
 	for w := range set {
 		e := &set[w]
-		if e.valid {
-			if e.vpn == vpn && e.asid == asid {
+		if e.Valid {
+			if e.VPN == vpn && e.ASID == asid {
 				return w, -1
 			}
-			if e.stamp < oldest {
-				victim, oldest = w, e.stamp
+			if e.Stamp < oldest {
+				victim, oldest = w, e.Stamp
 			}
 		} else if inv < 0 {
 			inv = w
@@ -129,12 +130,12 @@ func findOrVictimIn(set []entry, asid ASID, vpn VPN, lo, hi int) (hit, victim in
 	victim = lo
 	for w := range set {
 		e := &set[w]
-		if e.valid {
-			if e.vpn == vpn && e.asid == asid {
+		if e.Valid {
+			if e.VPN == vpn && e.ASID == asid {
 				return w, -1
 			}
-			if lo <= w && w < hi && e.stamp < oldest {
-				victim, oldest = w, e.stamp
+			if lo <= w && w < hi && e.Stamp < oldest {
+				victim, oldest = w, e.Stamp
 			}
 		} else if inv < 0 && lo <= w && w < hi {
 			inv = w
@@ -151,11 +152,11 @@ func findOrVictimIn(set []entry, asid ASID, vpn VPN, lo, hi int) (hit, victim in
 func lruWay(set []entry) int {
 	victim, oldest := 0, ^uint64(0)
 	for w := range set {
-		if !set[w].valid {
+		if !set[w].Valid {
 			return w
 		}
-		if set[w].stamp < oldest {
-			victim, oldest = w, set[w].stamp
+		if set[w].Stamp < oldest {
+			victim, oldest = w, set[w].Stamp
 		}
 	}
 	return victim
@@ -184,10 +185,10 @@ func (t *SetAssoc) translate(asid ASID, vpn VPN, res *Result) error {
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			e.Stamp = t.clock
 		}
 		t.stats.Hits++
-		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
+		res.PPN, res.Hit, res.Cycles = e.PPN, true, t.timing.HitCycles
 		return nil
 	}
 	t.stats.Misses++
@@ -207,11 +208,11 @@ func (t *SetAssoc) translate(asid ASID, vpn VPN, res *Result) error {
 		return nil
 	}
 	e := &t.sets[s][w]
-	if e.valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
+	if e.Valid {
+		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Stamp: t.clock}
 	t.stats.Fills++
 	if action == FillDuplicate {
 		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
@@ -238,7 +239,7 @@ func (t *SetAssoc) FlushAll() {
 func (t *SetAssoc) FlushASID(asid ASID) {
 	for s := range t.sets {
 		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
+			if t.sets[s][w].Valid && t.sets[s][w].ASID == asid {
 				t.sets[s][w] = entry{}
 			}
 		}
@@ -262,7 +263,7 @@ func (t *SetAssoc) validCount() int {
 	n := 0
 	for s := range t.sets {
 		for w := range t.sets[s] {
-			if t.sets[s][w].valid {
+			if t.sets[s][w].Valid {
 				n++
 			}
 		}
@@ -277,7 +278,7 @@ func (t *SetAssoc) FlushPageAllASIDs(vpn VPN) bool {
 	any := false
 	for w := range t.sets[s] {
 		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
+		if e.Valid && e.VPN == vpn {
 			*e = entry{}
 			any = true
 		}

@@ -86,10 +86,10 @@ func (t *SP) SetVictimWays(n int) error {
 	for s := range t.sets {
 		for w := range t.sets[s] {
 			e := &t.sets[s][w]
-			if !e.valid {
+			if !e.Valid {
 				continue
 			}
-			isVictim := e.asid == t.victim
+			isVictim := e.ASID == t.victim
 			inVictimWays := w < t.victimWays
 			if isVictim != inVictimWays {
 				*e = entry{}
@@ -144,7 +144,7 @@ func (t *SP) find(s int, asid ASID, vpn VPN) int {
 	set := t.sets[s]
 	for w := range set {
 		e := &set[w]
-		if e.valid && e.vpn == vpn && e.asid == asid {
+		if e.Valid && e.VPN == vpn && e.ASID == asid {
 			return w
 		}
 	}
@@ -176,10 +176,10 @@ func (t *SP) translate(asid ASID, vpn VPN, res *Result) error {
 	if hit >= 0 {
 		e := &t.sets[s][hit]
 		if t.hook.touchAllowed(s, hit) {
-			e.stamp = t.clock
+			e.Stamp = t.clock
 		}
 		t.stats.Hits++
-		res.PPN, res.Hit, res.Cycles = e.ppn, true, t.timing.HitCycles
+		res.PPN, res.Hit, res.Cycles = e.PPN, true, t.timing.HitCycles
 		return nil
 	}
 	t.stats.Misses++
@@ -199,11 +199,11 @@ func (t *SP) translate(asid ASID, vpn VPN, res *Result) error {
 		return nil
 	}
 	e := &t.sets[s][w]
-	if e.valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.vpn, e.asid
+	if e.Valid {
+		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
 		t.stats.Evictions++
 	}
-	*e = entry{valid: true, asid: asid, vpn: vpn, ppn: ppn, stamp: t.clock}
+	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Stamp: t.clock}
 	t.stats.Fills++
 	if action == FillDuplicate {
 		// The duplicate stays inside the requester's partition: the decoder
@@ -232,7 +232,7 @@ func (t *SP) FlushAll() {
 func (t *SP) FlushASID(asid ASID) {
 	for s := range t.sets {
 		for w := range t.sets[s] {
-			if t.sets[s][w].valid && t.sets[s][w].asid == asid {
+			if t.sets[s][w].Valid && t.sets[s][w].ASID == asid {
 				t.sets[s][w] = entry{}
 			}
 		}
@@ -260,7 +260,7 @@ func (t *SP) FlushPageAllASIDs(vpn VPN) bool {
 	any := false
 	for w := range t.sets[s] {
 		e := &t.sets[s][w]
-		if e.valid && e.vpn == vpn {
+		if e.Valid && e.VPN == vpn {
 			*e = entry{}
 			any = true
 		}

@@ -198,18 +198,10 @@ type Timing struct {
 // DefaultTiming mirrors the single-cycle L1 D-TLB of the Rocket Core.
 var DefaultTiming = Timing{HitCycles: 1}
 
-// entry is one TLB block (slot) as described in paper Table 1. Field order
-// packs the struct into 32 bytes so an 8-way set scan touches four cache
-// lines instead of five — lookups scan sets on every access, so the layout
-// is hot.
-type entry struct {
-	vpn   VPN
-	ppn   PPN
-	stamp uint64 // LRU timestamp; larger is more recent
-	asid  ASID
-	valid bool
-	sec   bool // RF TLB Sec bit (paper §4.2.2)
-}
+// entry is one TLB block (slot) as described in paper Table 1. It is the
+// exported EntrySnapshot itself, so the array a lookup scans is also the
+// snapshot the assertion monitor copies (see inspect.go for the layout).
+type entry = EntrySnapshot
 
 // geometry validates and normalises (entries, ways) and precomputes the
 // set-index mask.
