@@ -7,17 +7,12 @@ package tlb
 // any design that declares them, instead of the checker re-deriving (and
 // possibly contradicting) the policy from the outside.
 
-// SetIndex exposes the design's VPN-to-set mapping, including the
-// power-of-two mask fast path of geometry.setIndex. External observers
-// (the assertion monitor) must use this rather than computing their own
-// modulo so checker and design can never disagree on set placement.
-func (t *SetAssoc) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }
-
-// SetIndex exposes the SP TLB's VPN-to-set mapping (see SetAssoc.SetIndex).
-func (t *SP) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }
-
-// SetIndex exposes the RF TLB's VPN-to-set mapping (see SetAssoc.SetIndex).
-func (t *RF) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }
+// SetIndex exposes the VPN-to-set mapping of the plainly indexed designs
+// (SA, SP, RF and FS), including the power-of-two mask fast path of
+// geometry.setIndex. External observers (the assertion monitor) must use
+// this rather than computing their own modulo so checker and design can
+// never disagree on set placement.
+func (a *plainArray) SetIndex(vpn VPN) int { return a.geom.setIndex(vpn) }
 
 // FillRange exposes the SP TLB's partition policy: the way range [lo, hi)
 // that fills (and therefore evictions) from asid must stay inside. This is
@@ -92,6 +87,3 @@ func (t *FlushOnSwitch) PendingAutoFlush(asid ASID, vpn VPN) bool {
 func (t *FlushOnSwitch) PendingSwitchFlush(next ASID) bool {
 	return t.hasCur && next != t.cur
 }
-
-// SetIndex exposes the FS TLB's VPN-to-set mapping (see SetAssoc.SetIndex).
-func (t *FlushOnSwitch) SetIndex(vpn VPN) int { return t.geom.setIndex(vpn) }

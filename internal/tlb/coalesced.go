@@ -26,7 +26,6 @@ type Coalesced struct {
 	geom       geometry
 	span       int
 	victimWays int // 0 = unpartitioned
-	timing     Timing
 	walker     Walker
 	sets       [][]centry
 	clock      uint64
@@ -73,7 +72,7 @@ func newCoalesced(entries, ways, span, victimWays int, walker Walker) (*Coalesce
 	if span < 2 || span > 64 || span&(span-1) != 0 {
 		return nil, fmt.Errorf("tlb: coalescing span must be a power of two in [2,64], got %d", span)
 	}
-	t := &Coalesced{geom: g, span: span, victimWays: victimWays, timing: DefaultTiming, walker: walker}
+	t := &Coalesced{geom: g, span: span, victimWays: victimWays, walker: walker}
 	t.sets = make([][]centry, g.sets)
 	backing := make([]centry, g.entries)
 	for i := range t.sets {
@@ -167,15 +166,15 @@ func (t *Coalesced) Translate(asid ASID, vpn VPN) (Result, error) {
 		if e.bitmap&(1<<off) != 0 {
 			e.stamp = t.clock
 			t.stats.Hits++
-			return Result{PPN: e.basePPN + PPN(off), Hit: true, Cycles: t.timing.HitCycles}, nil
+			return Result{PPN: e.basePPN + PPN(off), Hit: true, Cycles: hitCycles}, nil
 		}
 	}
 	t.stats.Misses++
 	ppn, walkCycles, err := t.walker.Walk(asid, vpn)
 	if err != nil {
-		return Result{Cycles: t.timing.HitCycles + walkCycles}, err
+		return Result{Cycles: hitCycles + walkCycles}, err
 	}
-	res := Result{PPN: ppn, Cycles: t.timing.HitCycles + walkCycles, Filled: true}
+	res := Result{PPN: ppn, Cycles: hitCycles + walkCycles, Filled: true}
 	// Coalesce into a resident block entry when the new translation is
 	// frame-contiguous with it.
 	if w := t.find(s, asid, block); w >= 0 {
@@ -286,4 +285,17 @@ func (t *Coalesced) FlushPageAllASIDs(vpn VPN) bool {
 		}
 	}
 	return any
+}
+
+// CloneWith implements Cloner.
+func (t *Coalesced) CloneWith(w Walker) TLB {
+	n := *t
+	n.walker = w
+	n.sets = make([][]centry, len(t.sets))
+	backing := make([]centry, t.geom.entries)
+	for i := range t.sets {
+		n.sets[i], backing = backing[:t.geom.ways], backing[t.geom.ways:]
+		copy(n.sets[i], t.sets[i])
+	}
+	return &n
 }

@@ -32,7 +32,8 @@ type EntrySnapshot struct {
 // Inspectable is implemented by designs whose array state can be observed
 // (runtime invariant checking) and perturbed (fault injection). The
 // single-array designs — SetAssoc, SP, RF, RandIdx and FlushOnSwitch —
-// implement it; compositions (TwoLevel, Coalesced) do not.
+// implement it through their shared array core; Coalesced, whose block
+// entries are not EntrySnapshots, does not.
 type Inspectable interface {
 	// SnapshotAppend appends the current array contents to dst in set-major
 	// order (set 0 ways 0..W-1, then set 1, ...) — one copy of the design's
@@ -144,80 +145,6 @@ func (h *FaultHook) autoFlushAllowed() bool {
 	}
 	return h.OnAutoFlush()
 }
-
-// corruptEntry implements CorruptEntry over a design's set array.
-func corruptEntry(sets [][]entry, set, way int, f func(*EntrySnapshot)) bool {
-	if set < 0 || set >= len(sets) || way < 0 || way >= len(sets[set]) || !sets[set][way].Valid {
-		return false
-	}
-	f(&sets[set][way])
-	return true
-}
-
-// SnapshotAppend implements Inspectable.
-func (t *SetAssoc) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return append(dst, t.backing...)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *SetAssoc) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *SetAssoc) SetFaultHook(h *FaultHook) { t.hook = h }
-
-// SnapshotAppend implements Inspectable.
-func (t *SP) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return append(dst, t.backing...)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *SP) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *SP) SetFaultHook(h *FaultHook) { t.hook = h }
-
-// SnapshotAppend implements Inspectable.
-func (t *RF) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return append(dst, t.backing...)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *RF) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *RF) SetFaultHook(h *FaultHook) { t.hook = h }
-
-// SnapshotAppend implements Inspectable.
-func (t *RandIdx) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return append(dst, t.backing...)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *RandIdx) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *RandIdx) SetFaultHook(h *FaultHook) { t.hook = h }
-
-// SnapshotAppend implements Inspectable.
-func (t *FlushOnSwitch) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
-	return append(dst, t.backing...)
-}
-
-// CorruptEntry implements Inspectable.
-func (t *FlushOnSwitch) CorruptEntry(set, way int, f func(*EntrySnapshot)) bool {
-	return corruptEntry(t.sets, set, way, f)
-}
-
-// SetFaultHook implements Inspectable.
-func (t *FlushOnSwitch) SetFaultHook(h *FaultHook) { t.hook = h }
 
 var (
 	_ Inspectable = (*SetAssoc)(nil)

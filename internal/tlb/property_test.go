@@ -39,19 +39,20 @@ func (s opStream) apply(t *testing.T, tl TLB) {
 	}
 }
 
-// entriesOf extracts the valid entries of each design for invariant checks.
-func entriesOf(tl TLB) []entry {
+// setsOf returns a design's array, set by set, from its snapshot.
+func setsOf(tl TLB) [][]entry {
+	snap := tl.(Inspectable).SnapshotAppend(nil)
 	var sets [][]entry
-	switch v := tl.(type) {
-	case *SetAssoc:
-		sets = v.sets
-	case *SP:
-		sets = v.sets
-	case *RF:
-		sets = v.sets
+	for w := tl.Ways(); len(snap) > 0; snap = snap[w:] {
+		sets = append(sets, snap[:w])
 	}
+	return sets
+}
+
+// entriesOf extracts the valid entries of a design for invariant checks.
+func entriesOf(tl TLB) []entry {
 	var out []entry
-	for _, set := range sets {
+	for _, set := range setsOf(tl) {
 		for _, e := range set {
 			if e.Valid {
 				out = append(out, e)
@@ -61,20 +62,23 @@ func entriesOf(tl TLB) []entry {
 	return out
 }
 
-// setsOf returns the raw sets for per-set invariants.
-func setsOf(tl TLB) [][]entry {
+// validCount returns the number of valid entries in a design's array.
+func validCount(tl TLB) int { return len(entriesOf(tl)) }
+
+// indexOf maps (asid, vpn) to a set through the design's own index
+// capability: the plain SetIndex, or the RI TLB's KeyedSetIndex.
+func indexOf(t *testing.T, tl TLB, asid ASID, vpn VPN) int {
 	switch v := tl.(type) {
-	case *SetAssoc:
-		return v.sets
-	case *SP:
-		return v.sets
-	case *RF:
-		return v.sets
+	case interface{ SetIndex(VPN) int }:
+		return v.SetIndex(vpn)
+	case interface{ KeyedSetIndex(ASID, VPN) int }:
+		return v.KeyedSetIndex(asid, vpn)
 	}
-	return nil
+	t.Fatalf("%s exposes no set index", tl.Name())
+	return 0
 }
 
-func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
+func checkInvariants(t *testing.T, tl TLB) bool {
 	t.Helper()
 	// Invariant 1: no duplicate (asid, vpn) translations.
 	seen := map[[2]uint64]bool{}
@@ -86,12 +90,15 @@ func checkInvariants(t *testing.T, tl TLB, geom geometry) bool {
 		}
 		seen[k] = true
 	}
-	// Invariant 2: every valid entry resides in the set its VPN indexes.
+	// Invariant 2: every valid entry resides in the set its (ASID, VPN)
+	// indexes.
 	for s, set := range setsOf(tl) {
 		for _, e := range set {
-			if e.Valid && geom.setIndex(e.VPN) != s {
-				t.Logf("entry (%d,%#x) stored in set %d, indexes set %d",
-					e.ASID, e.VPN, s, geom.setIndex(e.VPN))
+			if !e.Valid {
+				continue
+			}
+			if want := indexOf(t, tl, e.ASID, e.VPN); want != s {
+				t.Logf("entry (%d,%#x) stored in set %d, indexes set %d", e.ASID, e.VPN, s, want)
 				return false
 			}
 		}
@@ -109,7 +116,7 @@ func TestQuickSetAssocInvariants(t *testing.T) {
 	f := func(s opStream) bool {
 		sa := mustSA(t, 32, 4)
 		s.apply(t, sa)
-		return checkInvariants(t, sa, sa.geom)
+		return checkInvariants(t, sa)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -120,13 +127,13 @@ func TestQuickSPInvariants(t *testing.T) {
 	f := func(s opStream) bool {
 		sp := mustSP(t, 32, 4, 2)
 		s.apply(t, sp)
-		if !checkInvariants(t, sp, sp.geom) {
+		if !checkInvariants(t, sp) {
 			return false
 		}
 		// SP-specific invariant: victim entries only in victim ways,
 		// attacker entries only in attacker ways. (Entries filled before a
 		// victim change could violate this; the stream keeps victim fixed.)
-		for _, set := range sp.sets {
+		for _, set := range setsOf(sp) {
 			for w, e := range set {
 				if !e.Valid {
 					continue
@@ -154,7 +161,7 @@ func TestQuickRFInvariants(t *testing.T) {
 		rf.SetVictim(victimID)
 		rf.SetSecureRegion(0x40, 5)
 		s.apply(t, rf)
-		if !checkInvariants(t, rf, rf.geom) {
+		if !checkInvariants(t, rf) {
 			return false
 		}
 		// RF-specific invariant: every Sec-marked entry lies inside the
@@ -162,6 +169,59 @@ func TestQuickRFInvariants(t *testing.T) {
 		for _, e := range entriesOf(rf) {
 			if e.Sec && (e.ASID != victimID || e.VPN < 0x40 || e.VPN >= 0x45) {
 				t.Logf("sec bit set on (%d,%#x) outside secure region", e.ASID, e.VPN)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickRandIdxInvariants(t *testing.T) {
+	seed := uint64(0)
+	f := func(s opStream) bool {
+		seed++
+		// A short re-key period, so streams cross key epochs.
+		ri, err := NewRandIdx(32, 4, identityWalker(60), seed, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.apply(t, ri)
+		if !checkInvariants(t, ri) {
+			return false
+		}
+		// RI-specific invariant: a re-key flushes the array, so every valid
+		// entry was filled under the current key.
+		if n := validCount(ri); uint64(n) > ri.fills {
+			t.Logf("%d valid entries but only %d fills under epoch %d", n, ri.fills, ri.epoch)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickFlushOnSwitchInvariants(t *testing.T) {
+	f := func(s opStream) bool {
+		fs, err := NewFlushOnSwitch(32, 4, identityWalker(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetVictim(victimID)
+		fs.SetSecureRegion(0x40, 5)
+		s.apply(t, fs)
+		if !checkInvariants(t, fs) {
+			return false
+		}
+		// FS-specific invariant: a context switch flushes the array, so
+		// every valid entry belongs to the current context.
+		for _, e := range entriesOf(fs) {
+			if !fs.hasCur || e.ASID != fs.cur {
+				t.Logf("entry (%d,%#x) survived a switch to context %d", e.ASID, e.VPN, fs.cur)
 				return false
 			}
 		}

@@ -1,7 +1,5 @@
 package tlb
 
-import "fmt"
-
 // RF is the Random-Fill TLB of paper §4.2 (Figures 3 and 4).
 //
 // Each entry carries a Sec bit marking translations inside the victim's
@@ -29,21 +27,15 @@ import "fmt"
 // would starve it). LazyFill enables the rejected asynchronous variant for
 // the ablation study: random fills are then dropped whenever the previous
 // miss was "recent" (within LazyFillWindow lookups), modelling starvation.
+//
+// Random filling does not intercept invalidations: a secure entry can be
+// removed by an address-based flush like any other, which is why the
+// Random-Fill design does not by itself defend the targeted-invalidation
+// attacks of Appendix B.
 type RF struct {
-	geom    geometry
-	timing  Timing
-	walker  Walker
-	sets    [][]entry
-	backing []entry // contiguous storage behind sets, cleared whole on FlushAll
-	clock   uint64
-	stats   Stats
-	rng     *rng
-	hook    *FaultHook
-
-	victim    ASID
-	hasVictim bool
-	sbase     VPN
-	ssize     uint64
+	plainArray
+	secureRegs
+	rng *rng
 
 	// LazyFill models the asynchronous random-fill alternative of §4.2.3
 	// (ablation only; the paper's design keeps it false).
@@ -60,78 +52,22 @@ var _ SecureTLB = (*RF)(nil)
 
 // NewRF returns an RF TLB seeded with the given PRNG seed.
 func NewRF(entries, ways int, walker Walker, seed uint64) (*RF, error) {
-	g, err := newGeometry(entries, ways)
+	a, err := newArray("RF", entries, ways, walker)
 	if err != nil {
 		return nil, err
 	}
-	if walker == nil {
-		return nil, fmt.Errorf("tlb: walker must not be nil")
-	}
-	t := &RF{geom: g, timing: DefaultTiming, walker: walker, rng: newRNG(seed), LazyFillWindow: 8}
-	t.sets, t.backing = newSets(g)
-	return t, nil
+	return &RF{plainArray: plainArray{a}, rng: newRNG(seed), LazyFillWindow: 8}, nil
 }
-
-// SetTiming overrides the lookup latency parameters.
-func (t *RF) SetTiming(tm Timing) { t.timing = tm }
 
 // Reseed re-seeds the Random Fill Engine's PRNG.
 func (t *RF) Reseed(seed uint64) { t.rng.Seed(seed) }
-
-// Name implements TLB.
-func (t *RF) Name() string { return "RF " + t.geom.geomName() }
-
-// Entries implements TLB.
-func (t *RF) Entries() int { return t.geom.entries }
-
-// Ways implements TLB.
-func (t *RF) Ways() int { return t.geom.ways }
-
-// Stats implements TLB.
-func (t *RF) Stats() Stats { return t.stats }
-
-// MissHitCounts implements CounterReader.
-func (t *RF) MissHitCounts() (uint64, uint64) { return t.stats.Misses, t.stats.Hits }
-
-// ResetStats implements TLB.
-func (t *RF) ResetStats() { t.stats = Stats{} }
-
-// SetVictim implements SecureTLB (the victim process ID register of §4.2.2).
-func (t *RF) SetVictim(asid ASID) { t.victim, t.hasVictim = asid, true }
 
 // ClearVictim removes the victim designation; with no victim no address is
 // secure and the RF TLB degenerates to the SA TLB.
 func (t *RF) ClearVictim() { t.hasVictim = false }
 
-// Victim implements SecureTLB.
-func (t *RF) Victim() ASID { return t.victim }
-
 // HasVictim reports whether a victim process has been designated.
 func (t *RF) HasVictim() bool { return t.hasVictim }
-
-// SetSecureRegion implements SecureTLB (the sbase and ssize registers of
-// §4.2.2, in units of pages).
-func (t *RF) SetSecureRegion(sbase VPN, ssize uint64) { t.sbase, t.ssize = sbase, ssize }
-
-// SecureRegion implements SecureTLB.
-func (t *RF) SecureRegion() (VPN, uint64) { return t.sbase, t.ssize }
-
-// secure reports whether (asid, vpn) lies in the victim's secure region.
-func (t *RF) secure(asid ASID, vpn VPN) bool {
-	return t.hasVictim && asid == t.victim && t.ssize > 0 &&
-		vpn >= t.sbase && uint64(vpn-t.sbase) < t.ssize
-}
-
-func (t *RF) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.Valid && e.VPN == vpn && e.ASID == asid {
-			return w
-		}
-	}
-	return -1
-}
 
 // randomSecureVPN draws D' uniformly from the secure region (Sec_D = 1
 // case). With an empty region the draw fails with ErrEmptyDraw.
@@ -177,46 +113,9 @@ func (t *RF) fill(asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 		return
 	}
 	if t.hook != nil && t.hook.OnFill != nil {
-		t.fillWayHooked(s, victim, asid, vpn, ppn, sec, res)
+		t.installHooked(s, victim, 0, t.geom.ways, asid, vpn, ppn, sec, res)
 	} else {
-		t.fillWay(s, victim, asid, vpn, ppn, sec, res)
-	}
-}
-
-// fillWay installs a translation known to be absent from set s into way w.
-// The normal-miss path passes the probe's victim way directly: the set has
-// not changed since the probe (a walk never touches the array), so the
-// fill's own lookup and LRU scan would only recompute the same answer.
-// Callers dispatch to fillWayHooked themselves when an OnFill fault hook is
-// armed — the hook branch lives at the call sites because a call in this
-// body would push it past the inlining budget, and this store is the
-// innermost write of every simulated campaign.
-func (t *RF) fillWay(s, w int, asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
-	e := &t.sets[s][w]
-	if e.Valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
-		t.stats.Evictions++
-	}
-	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Sec: sec, Stamp: t.clock}
-}
-
-// fillWayHooked is the fill path with an OnFill fault hook armed.
-func (t *RF) fillWayHooked(s, w int, asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
-	action := t.hook.fillAction(s, w)
-	if action == FillDrop {
-		// Lost array write: the caller still counts and reports the fill.
-		return
-	}
-	e := &t.sets[s][w]
-	if e.Valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
-		t.stats.Evictions++
-	}
-	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Sec: sec, Stamp: t.clock}
-	if action == FillDuplicate {
-		if w2 := (w + 1) % len(t.sets[s]); w2 != w {
-			t.sets[s][w2] = *e
-		}
+		t.install(s, victim, asid, vpn, ppn, sec, res)
 	}
 }
 
@@ -252,12 +151,7 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	t.clock++
 	hit, rWay := findOrVictim(t.sets[s], asid, vpn)
 	if hit >= 0 {
-		e := &t.sets[s][hit]
-		if t.hook.touchAllowed(s, hit) {
-			e.Stamp = t.clock
-		}
-		t.stats.Hits++
-		res.PPN, res.Hit, res.Cycles = e.PPN, true, t.timing.HitCycles
+		res.PPN, res.Hit, res.Cycles = t.hit(&t.sets[s][hit], s, hit), true, hitCycles
 		return nil
 	}
 	t.stats.Misses++
@@ -270,7 +164,7 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	// Walk the requested translation D; its result always goes back to the
 	// processor (directly or through the no-fill buffer).
 	ppn, walkCycles, err := t.walker.Walk(asid, vpn)
-	res.PPN, res.Cycles = ppn, t.timing.HitCycles+walkCycles
+	res.PPN, res.Cycles = ppn, hitCycles+walkCycles
 	if err != nil {
 		return err
 	}
@@ -280,9 +174,9 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 		// installed since, so the probe's victim way is still current.
 		res.Filled = true
 		if t.hook != nil && t.hook.OnFill != nil {
-			t.fillWayHooked(s, rWay, asid, vpn, ppn, false, res)
+			t.installHooked(s, rWay, 0, t.geom.ways, asid, vpn, ppn, false, res)
 		} else {
-			t.fillWay(s, rWay, asid, vpn, ppn, false, res)
+			t.install(s, rWay, asid, vpn, ppn, false, res)
 		}
 		t.stats.Fills++
 		return nil
@@ -339,11 +233,6 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	return nil
 }
 
-// Probe implements TLB.
-func (t *RF) Probe(asid ASID, vpn VPN) bool {
-	return t.find(t.geom.setIndex(vpn), asid, vpn) >= 0
-}
-
 // RNG is an exported copy of a Random Fill Engine generator, used by the
 // invariant checker to predict the RFE's next draw without perturbing the
 // live stream.
@@ -395,51 +284,13 @@ func (t *RF) PredictRandomFill(g *RNG, asid ASID, vpn VPN) (VPN, bool, error) {
 	return vpn - VPN(t.geom.setMod(uint64(vpn))) + VPN(target), true, nil
 }
 
-// FlushAll implements TLB.
-func (t *RF) FlushAll() {
-	// The sets share one contiguous backing array (see the constructor),
-	// so the whole TLB clears with a single memclr.
-	clear(t.backing)
-	t.stats.Flushes++
-}
-
-// FlushASID implements TLB.
-func (t *RF) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].Valid && t.sets[s][w].ASID == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
-	t.stats.Flushes++
-}
-
-// FlushPage implements TLB.
-func (t *RF) FlushPage(asid ASID, vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
-	t.stats.Flushes++
-	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
-		return true
-	}
-	return false
-}
-
-// FlushPageAllASIDs implements TLB. Random filling does not intercept
-// invalidations: a secure entry can be removed by an address-based flush
-// like any other, which is why the Random-Fill design does not by itself
-// defend the targeted-invalidation attacks of Appendix B.
-func (t *RF) FlushPageAllASIDs(vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
-	t.stats.Flushes++
-	any := false
-	for w := range t.sets[s] {
-		e := &t.sets[s][w]
-		if e.Valid && e.VPN == vpn {
-			*e = entry{}
-			any = true
-		}
-	}
-	return any
+// CloneWith implements Cloner. The clone's Random Fill Engine continues the
+// original's PRNG stream from its current state; campaigns that need
+// per-trial reproducibility reseed per trial as usual.
+func (t *RF) CloneWith(w Walker) TLB {
+	n := *t
+	n.array = t.array.clone(w)
+	rngCopy := *t.rng
+	n.rng = &rngCopy
+	return &n
 }

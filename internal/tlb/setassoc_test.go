@@ -201,8 +201,8 @@ func TestFlushAll(t *testing.T) {
 		translate(t, sa, 1, VPN(i))
 	}
 	sa.FlushAll()
-	if sa.validCount() != 0 {
-		t.Errorf("valid entries after FlushAll = %d", sa.validCount())
+	if validCount(sa) != 0 {
+		t.Errorf("valid entries after FlushAll = %d", validCount(sa))
 	}
 	r := translate(t, sa, 1, 3)
 	if r.Hit {
@@ -251,7 +251,7 @@ func TestWalkerErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("Translate error = %v, want %v", err, boom)
 	}
-	if sa.validCount() != 0 {
+	if validCount(sa) != 0 {
 		t.Error("a faulting walk must not install a translation")
 	}
 }

@@ -16,21 +16,9 @@ import "fmt"
 // isolation is what defends the four external miss-based (EM) vulnerability
 // types beyond what the SA TLB defends (paper Table 4).
 type SP struct {
-	geom       geometry
+	plainArray
+	secureRegs // the secure region is recorded for SecureTLB but not used
 	victimWays int
-	timing     Timing
-	walker     Walker
-	sets       [][]entry
-	backing    []entry // contiguous storage behind sets, cleared whole on FlushAll
-	clock      uint64
-	stats      Stats
-	victim     ASID
-	hasVictim  bool
-	hook       *FaultHook
-	// sbase/ssize are accepted for SecureTLB compatibility; the SP design
-	// does not use the secure region, only the victim process ID.
-	sbase VPN
-	ssize uint64
 }
 
 var _ SecureTLB = (*SP)(nil)
@@ -39,32 +27,15 @@ var _ SecureTLB = (*SP)(nil)
 // for the victim partition; the paper's default is half the ways. It must
 // satisfy 0 < victimWays < ways so both partitions are non-empty.
 func NewSP(entries, ways, victimWays int, walker Walker) (*SP, error) {
-	g, err := newGeometry(entries, ways)
+	a, err := newArray("SP", entries, ways, walker)
 	if err != nil {
 		return nil, err
-	}
-	if walker == nil {
-		return nil, fmt.Errorf("tlb: walker must not be nil")
 	}
 	if victimWays <= 0 || victimWays >= ways {
 		return nil, fmt.Errorf("tlb: SP victimWays must be in (0,%d), got %d", ways, victimWays)
 	}
-	t := &SP{geom: g, victimWays: victimWays, timing: DefaultTiming, walker: walker}
-	t.sets, t.backing = newSets(g)
-	return t, nil
+	return &SP{plainArray: plainArray{a}, victimWays: victimWays}, nil
 }
-
-// SetTiming overrides the lookup latency parameters.
-func (t *SP) SetTiming(tm Timing) { t.timing = tm }
-
-// Name implements TLB.
-func (t *SP) Name() string { return "SP " + t.geom.geomName() }
-
-// Entries implements TLB.
-func (t *SP) Entries() int { return t.geom.entries }
-
-// Ways implements TLB.
-func (t *SP) Ways() int { return t.geom.ways }
 
 // VictimWays returns the number of ways per set in the victim partition.
 func (t *SP) VictimWays() int { return t.victimWays }
@@ -99,38 +70,14 @@ func (t *SP) SetVictimWays(n int) error {
 	return nil
 }
 
-// Stats implements TLB.
-func (t *SP) Stats() Stats { return t.stats }
-
-// MissHitCounts implements CounterReader.
-func (t *SP) MissHitCounts() (uint64, uint64) { return t.stats.Misses, t.stats.Hits }
-
-// ResetStats implements TLB.
-func (t *SP) ResetStats() { t.stats = Stats{} }
-
-// SetVictim implements SecureTLB: the given process ID is allocated the
-// victim partition from now on. Entries already in the array are unaffected,
-// mirroring hardware where the register change does not rewrite the array.
-func (t *SP) SetVictim(asid ASID) { t.victim, t.hasVictim = asid, true }
-
 // ClearVictim removes the victim designation; all processes then share the
 // attacker partition (the paper's configuration when security is disabled —
 // the effective TLB capacity is the attacker partition alone, which is why
 // the SP TLB shows roughly 3x the MPKI of the SA TLB in Figure 7e).
 func (t *SP) ClearVictim() { t.hasVictim = false }
 
-// Victim implements SecureTLB.
-func (t *SP) Victim() ASID { return t.victim }
-
 // HasVictim reports whether a victim process has been designated.
 func (t *SP) HasVictim() bool { return t.hasVictim }
-
-// SetSecureRegion implements SecureTLB. The SP design does not act on the
-// secure region, but records it so callers can treat SP and RF uniformly.
-func (t *SP) SetSecureRegion(sbase VPN, ssize uint64) { t.sbase, t.ssize = sbase, ssize }
-
-// SecureRegion implements SecureTLB.
-func (t *SP) SecureRegion() (VPN, uint64) { return t.sbase, t.ssize }
 
 // partition returns the way range [lo, hi) that fills from asid must use.
 func (t *SP) partition(asid ASID) (lo, hi int) {
@@ -138,17 +85,6 @@ func (t *SP) partition(asid ASID) (lo, hi int) {
 		return 0, t.victimWays
 	}
 	return t.victimWays, t.geom.ways
-}
-
-func (t *SP) find(s int, asid ASID, vpn VPN) int {
-	set := t.sets[s]
-	for w := range set {
-		e := &set[w]
-		if e.Valid && e.VPN == vpn && e.ASID == asid {
-			return w
-		}
-	}
-	return -1
 }
 
 // Translate implements TLB. Hits search all ways (identical to SA); fills
@@ -174,96 +110,15 @@ func (t *SP) translate(asid ASID, vpn VPN, res *Result) error {
 	lo, hi := t.partition(asid)
 	hit, victim := findOrVictimIn(t.sets[s], asid, vpn, lo, hi)
 	if hit >= 0 {
-		e := &t.sets[s][hit]
-		if t.hook.touchAllowed(s, hit) {
-			e.Stamp = t.clock
-		}
-		t.stats.Hits++
-		res.PPN, res.Hit, res.Cycles = e.PPN, true, t.timing.HitCycles
+		res.PPN, res.Hit, res.Cycles = t.hit(&t.sets[s][hit], s, hit), true, hitCycles
 		return nil
 	}
-	t.stats.Misses++
-	ppn, walkCycles, err := t.walker.Walk(asid, vpn)
-	res.Cycles = t.timing.HitCycles + walkCycles
-	if err != nil {
-		return err
-	}
-	// The walker never touches the array, so the probe's victim way is
-	// still current after the walk.
-	res.PPN, res.Filled = ppn, true
-	w := victim
-	action := t.hook.fillAction(s, w)
-	if action == FillDrop {
-		// Lost array write: the control logic still counts the fill.
-		t.stats.Fills++
-		return nil
-	}
-	e := &t.sets[s][w]
-	if e.Valid {
-		res.Evicted, res.EvictedVPN, res.EvictedASID = true, e.VPN, e.ASID
-		t.stats.Evictions++
-	}
-	*e = entry{Valid: true, ASID: asid, VPN: vpn, PPN: ppn, Stamp: t.clock}
-	t.stats.Fills++
-	if action == FillDuplicate {
-		// The duplicate stays inside the requester's partition: the decoder
-		// fault asserts a second way-enable of the same partition.
-		if w2 := lo + (w-lo+1)%(hi-lo); w2 != w {
-			t.sets[s][w2] = *e
-		}
-	}
-	return nil
+	return t.demandFill(s, victim, lo, hi, asid, vpn, res)
 }
 
-// Probe implements TLB.
-func (t *SP) Probe(asid ASID, vpn VPN) bool {
-	return t.find(t.geom.setIndex(vpn), asid, vpn) >= 0
-}
-
-// FlushAll implements TLB.
-func (t *SP) FlushAll() {
-	// The sets share one contiguous backing array (see the constructor),
-	// so the whole TLB clears with a single memclr.
-	clear(t.backing)
-	t.stats.Flushes++
-}
-
-// FlushASID implements TLB.
-func (t *SP) FlushASID(asid ASID) {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].Valid && t.sets[s][w].ASID == asid {
-				t.sets[s][w] = entry{}
-			}
-		}
-	}
-	t.stats.Flushes++
-}
-
-// FlushPage implements TLB.
-func (t *SP) FlushPage(asid ASID, vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
-	t.stats.Flushes++
-	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
-		return true
-	}
-	return false
-}
-
-// FlushPageAllASIDs implements TLB. The invalidation is address-based, so
-// it crosses the partition boundary: both the victim's and the attacker's
-// entries for the page are removed.
-func (t *SP) FlushPageAllASIDs(vpn VPN) bool {
-	s := t.geom.setIndex(vpn)
-	t.stats.Flushes++
-	any := false
-	for w := range t.sets[s] {
-		e := &t.sets[s][w]
-		if e.Valid && e.VPN == vpn {
-			*e = entry{}
-			any = true
-		}
-	}
-	return any
+// CloneWith implements Cloner.
+func (t *SP) CloneWith(w Walker) TLB {
+	n := *t
+	n.array = t.array.clone(w)
+	return &n
 }

@@ -1,8 +1,9 @@
 // Package tlb implements the Translation Look-aside Buffer designs studied
 // in "Secure TLBs" (Deng, Xiong, Szefer — ISCA 2019): the standard
-// Set-Associative (SA) and Fully-Associative (FA) TLBs, and the two secure
+// Set-Associative (SA) and Fully-Associative (FA) TLBs, the two secure
 // designs proposed by the paper, the Static-Partition (SP) TLB and the
-// Random-Fill (RF) TLB.
+// Random-Fill (RF) TLB, and three extension designs: a keyed-index TLB (RI),
+// a flush-on-switch TLB (FS) and a coalesced TLB.
 //
 // All designs sit behind the TLB interface. A TLB translates (ASID, virtual
 // page number) pairs to physical page numbers, consulting a Walker on a miss.
@@ -10,7 +11,13 @@
 // performance counters (in particular the TLB miss counter) that the paper's
 // micro security benchmarks and performance evaluation read.
 //
-// The designs model the L1 D-TLB of the paper's Rocket Core implementation:
+// The designs model the L1 D-TLB of the paper's Rocket Core implementation.
+// The paper defines its secure TLBs as a change of policy on one
+// set-associative array, and the code is split the same way: one array core
+// (array.go) holds the sets, LRU clock, counters, flushes, snapshot and
+// fault hook, the fused hit-or-victim scan and the fill install, and each
+// single-array design embeds it and supplies only its policy — its index
+// function, its fill range, what a miss installs and what triggers a flush:
 //
 //   - SetAssoc: plain SA TLB with true LRU per set. A fully-associative TLB
 //     is a SetAssoc with a single set; the paper's "1E" configuration is a
@@ -23,6 +30,16 @@
 //     a Sec bit; misses touching the secure region trigger a random fill of a
 //     different translation while the requested translation is returned
 //     through a side buffer without being installed.
+//   - RandIdx: the RI TLB, a TLBcoat-style array whose set index is a
+//     PRINCE-style cipher of the page number under a per-ASID key, re-keyed
+//     (with a full flush) every RekeyFills fills.
+//   - FlushOnSwitch: the FS TLB, a SIMF-style array that flushes itself on
+//     every context switch and on every exit from the victim's secure
+//     region.
+//
+// Coalesced, a COLT-style TLB whose entries each map a block of contiguous
+// pages (optionally way-partitioned like SP), keeps its own block-entry
+// array and is not built on the core.
 package tlb
 
 import "fmt"
@@ -187,16 +204,10 @@ type CounterReader interface {
 	MissHitCounts() (misses, hits uint64)
 }
 
-// Timing groups the latency parameters of a TLB lookup. The walker supplies
-// the (dominant) miss penalty; HitCycles is the array access time.
-type Timing struct {
-	// HitCycles is the latency of a lookup that hits (also charged on the
-	// array probe that precedes a walk).
-	HitCycles uint64
-}
-
-// DefaultTiming mirrors the single-cycle L1 D-TLB of the Rocket Core.
-var DefaultTiming = Timing{HitCycles: 1}
+// hitCycles is the latency of a lookup that hits, also charged on the array
+// probe that precedes a walk: the single-cycle L1 D-TLB of the Rocket Core.
+// The walker supplies the (dominant) miss penalty.
+const hitCycles = 1
 
 // entry is one TLB block (slot) as described in paper Table 1. It is the
 // exported EntrySnapshot itself, so the array a lookup scans is also the
