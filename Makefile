@@ -8,13 +8,19 @@ FUZZTIME ?= 30s
 # fails). Empty, the default, uses a temp dir removed on success.
 CHAOS_DATA ?=
 
-.PHONY: build vet staticcheck test race bench bench-smoke smoke faults assert-smoke fuzz-smoke serve-smoke chaos-smoke verify
+.PHONY: build vet e2ebench-vet staticcheck test race bench bench-smoke smoke faults assert-smoke fuzz-smoke serve-smoke chaos-smoke verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The e2ebench benchmark is its own module, so build and vet above never
+# compile it. Vetting it catches a change that drops an identifier it uses;
+# vet, unlike go build, leaves no binary behind.
+e2ebench-vet:
+	cd e2ebench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet ./...
 
 # Static analysis beyond vet. The tool is not vendored, so the target
 # no-ops with a notice when it is absent (CI installs it; locally:
@@ -111,4 +117,4 @@ chaos-smoke:
 	$(GO) run ./cmd/tlbchaos -clients 8 -kills 2 -specs 4 -trials 15000 -race -timeout 5m
 	$(GO) run ./cmd/tlbchaos -nodes 3 -clients 6 -kills 2 -specs 3 -trials 30000 -lease-ttl 1s -min-handoffs 1 -race -timeout 8m $(if $(CHAOS_DATA),-data $(CHAOS_DATA))
 
-verify: build vet staticcheck race faults assert-smoke fuzz-smoke bench-smoke serve-smoke chaos-smoke
+verify: build vet e2ebench-vet staticcheck race faults assert-smoke fuzz-smoke bench-smoke serve-smoke chaos-smoke

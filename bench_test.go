@@ -16,6 +16,7 @@ import (
 	"securetlb/internal/area"
 	"securetlb/internal/attack"
 	"securetlb/internal/capacity"
+	"securetlb/internal/design"
 	"securetlb/internal/model"
 	"securetlb/internal/perf"
 	"securetlb/internal/secbench"
@@ -157,11 +158,16 @@ func BenchmarkCampaignFullExec(b *testing.B)    { benchCampaign(b, true) }
 
 // --- Table 4 theory columns ---------------------------------------------------
 
+// BenchmarkTable4Theory evaluates the paper's Table 4 theory columns: the
+// SA, SP and RF theories of the design registry and Eq. (1) for each of the
+// 24 vulnerabilities.
 func BenchmarkTable4Theory(b *testing.B) {
+	vulns := model.Enumerate()
 	for i := 0; i < b.N; i++ {
-		rows, err := capacity.Table4Theory(capacity.DefaultRFParams)
-		if err != nil || len(rows) != 24 {
-			b.Fatalf("theory rows = %d (%v)", len(rows), err)
+		for _, d := range []design.ID{design.SA, design.SP, design.RF} {
+			for _, v := range vulns {
+				capacity.MutualInformation(d.Entry().Theory(v))
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"securetlb/internal/area"
+	"securetlb/internal/design"
 	"securetlb/internal/report"
 )
 
@@ -51,7 +52,7 @@ func main() {
 		[]string{"Design", "Config", "Slice LUTs", "dLUTs", "Slice Registers", "dRegs"}, rows))
 
 	fmt.Println("\nOverheads vs same-geometry SA (§6.6 headlines, plus the RI/FS extensions):")
-	for _, d := range []area.Design{area.SP, area.RF, area.RI, area.FS} {
+	for _, d := range design.Perf.Designs()[1:] { // every design but the SA baseline
 		lut, reg, err := area.OverheadPercent(d, "4W 32")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "areabench:", err)
@@ -59,9 +60,9 @@ func main() {
 		}
 		fmt.Printf("  %s 4W-32: %s LUTs, %s registers", d, report.Pct(lut), report.Pct(reg))
 		switch d {
-		case area.SP:
+		case design.SP:
 			fmt.Printf("   (paper: +0.4%% / +0.1%%)\n")
-		case area.RF:
+		case design.RF:
 			fmt.Printf("   (paper: +6.2%% / +5.5%%)\n")
 		default:
 			fmt.Printf("   (extension; no paper row)\n")

@@ -29,6 +29,7 @@ import (
 
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
+	"securetlb/internal/secbench"
 )
 
 func main() {
@@ -65,7 +66,7 @@ func main() {
 		Seed:     *seed,
 		Parallel: *parallel,
 		Sites:    sites,
-		Designs:  allDesigns(),
+		Designs:  secbench.AllDesigns(),
 	})
 	if err != nil {
 		fatal(err)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"securetlb/internal/design"
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
 	"securetlb/internal/secbench"
@@ -45,7 +46,7 @@ func TestMatrixGolden(t *testing.T) {
 		Seed:     0xfa117,
 		Parallel: 2,
 		Sites:    faultinject.MachineSites(),
-		Designs:  allDesigns(),
+		Designs:  secbench.AllDesigns(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestMatrixCoversAllDesignSiteCells(t *testing.T) {
 		Seed:     0xfa117,
 		Parallel: 2,
 		Sites:    faultinject.MachineSites(),
-		Designs:  allDesigns(),
+		Designs:  secbench.AllDesigns(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +95,9 @@ func TestMatrixCoversAllDesignSiteCells(t *testing.T) {
 	}
 	want := 0
 	for _, s := range faultinject.MachineSites() {
-		ds := allDesigns()
-		if s.RFOnly() || s.RIOnly() || s.FSOnly() {
-			ds = secbench.DesignsForSite(s)
+		ds := secbench.AllDesigns()
+		if d, ok := design.SiteOwner(s); ok {
+			ds = []secbench.Design{d}
 		}
 		for _, d := range ds {
 			want++

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"securetlb/internal/design"
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
 	"securetlb/internal/pool"
@@ -30,12 +31,6 @@ type matrixConfig struct {
 	// RestSeeds is how many corrupted-checkpoint variants each at-rest site
 	// verifies.
 	RestSeeds uint64
-}
-
-// allDesigns is the full robustness battery: every design in the arena (the
-// paper's three, FA, RI and FS), every one wrapped by the assertion layer.
-func allDesigns() []secbench.Design {
-	return secbench.AllDesigns()
 }
 
 // matrixRow is one aggregated (site, design) line of the report plus the
@@ -79,8 +74,8 @@ func buildSpecs(machine []faultinject.Site, designs []secbench.Design, vulns []m
 	var specs []cellSpec
 	for _, s := range machine {
 		ds := designs
-		if s.RFOnly() || s.RIOnly() || s.FSOnly() {
-			ds = secbench.DesignsForSite(s)
+		if d, ok := design.SiteOwner(s); ok {
+			ds = []secbench.Design{d}
 		}
 		for _, d := range ds {
 			for _, v := range vulns {

@@ -26,12 +26,13 @@ import (
 	"syscall"
 
 	"securetlb/internal/checkpoint"
+	"securetlb/internal/design"
 	"securetlb/internal/perf"
 	"securetlb/internal/pool"
 )
 
 func main() {
-	design := flag.String("design", "all", "designs to run: "+perf.DesignUsage())
+	selector := flag.String("design", "all", "designs to run: "+design.Perf.Usage())
 	decrypts := flag.Int("decrypts", 50, "RSA decryptions per run (paper: 50/100/150)")
 	sweep := flag.Bool("sweep", false, "run the paper's full 50/100/150 decryption sweep")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
@@ -44,7 +45,7 @@ func main() {
 	flag.Parse()
 	perf.DisableTrace = *noTrace
 
-	designs, err := validateFlags(*design, *decrypts, *parallel, *ckEvery, *resume, *ckPath)
+	designs, err := validateFlags(*selector, *decrypts, *parallel, *ckEvery, *resume, *ckPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -120,8 +121,8 @@ sweepLoop:
 // validateFlags rejects invalid flag combinations up front with a clear
 // message, instead of letting a bad value fail deep inside the sweep. It
 // returns the designs the -design selector names.
-func validateFlags(design string, decrypts, parallel, ckEvery int, resume bool, ckPath string) ([]perf.Design, error) {
-	designs, err := perf.ParseDesigns(design)
+func validateFlags(selector string, decrypts, parallel, ckEvery int, resume bool, ckPath string) ([]perf.Design, error) {
+	designs, err := design.Perf.Parse(selector)
 	if err != nil {
 		return nil, err
 	}

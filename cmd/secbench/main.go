@@ -32,6 +32,7 @@ import (
 	"syscall"
 
 	"securetlb/internal/checkpoint"
+	"securetlb/internal/design"
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
 	"securetlb/internal/pool"
@@ -40,7 +41,7 @@ import (
 )
 
 func main() {
-	design := flag.String("design", "all", "designs to run: "+secbench.DesignUsage())
+	selector := flag.String("design", "all", "designs to run: "+design.Security.Usage())
 	trials := flag.Int("trials", 500, "trials per victim behaviour (paper: 500)")
 	extended := flag.Bool("extended", false, "run the Appendix B (Table 7) targeted-invalidation benchmarks instead of the base 24")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
@@ -56,7 +57,7 @@ func main() {
 	noTrace := flag.Bool("no-trace", false, "disable trace-compiled trial replay; decode and execute every instruction of every trial (bit-identical, slower)")
 	flag.Parse()
 
-	designs, err := validateFlags(*design, *trials, *parallel, *ckEvery, *emit, *extended, *resume, *ckPath)
+	designs, err := validateFlags(*selector, *trials, *parallel, *ckEvery, *emit, *extended, *resume, *ckPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,8 +110,8 @@ func main() {
 // validateFlags rejects invalid flag combinations up front with a clear
 // message, instead of letting a bad value fail deep inside a campaign.
 // It returns the designs the -design selector names.
-func validateFlags(design string, trials, parallel, ckEvery int, emit string, extended, resume bool, ckPath string) ([]secbench.Design, error) {
-	designs, err := secbench.ParseDesigns(design)
+func validateFlags(selector string, trials, parallel, ckEvery int, emit string, extended, resume bool, ckPath string) ([]secbench.Design, error) {
+	designs, err := design.Security.Parse(selector)
 	if err != nil {
 		return nil, err
 	}

@@ -36,11 +36,12 @@ import (
 
 	"securetlb/internal/asm"
 	"securetlb/internal/cpu"
+	"securetlb/internal/design"
 	"securetlb/internal/tlb"
 )
 
 func main() {
-	design := flag.String("tlb", "sa", "D-TLB design: sa, fa, sp, rf, ri, fs, 1e")
+	tlbCode := flag.String("tlb", "sa", "D-TLB design: "+design.Security.Codes()+", or 1e (the one-entry SA TLB)")
 	entries := flag.Int("entries", 32, "TLB entries")
 	ways := flag.Int("ways", 4, "TLB ways (ignored for fa/1e)")
 	victimWays := flag.Int("victim-ways", 0, "SP victim partition ways (default half)")
@@ -53,7 +54,7 @@ func main() {
 	var client clientFlags
 	flag.StringVar(&client.server, "server", "", "tlbserved base URL; switches to client mode")
 	flag.StringVar(&client.campaign, "campaign", "", "campaign kind to submit: secbench or perf (client mode)")
-	flag.StringVar(&client.design, "design", "all", "campaign designs: a comma-separated combination of sa, sp, rf, ri, fs (and fa for secbench), \"all\" or \"full\" (client mode)")
+	flag.StringVar(&client.design, "design", "all", "campaign designs: "+design.Security.Usage()+"; perf campaigns take no fa (client mode)")
 	flag.IntVar(&client.trials, "trials", 0, "secbench trials per behaviour, 0 = server default (client mode)")
 	flag.BoolVar(&client.extended, "extended", false, "Appendix B benchmark set (client mode)")
 	flag.BoolVar(&client.invariants, "invariants", false, "enable runtime invariant checking (client mode)")
@@ -85,28 +86,14 @@ func main() {
 	}
 
 	machine, err := cpu.NewSystem(*memLatency, func(w tlb.Walker) (tlb.TLB, error) {
-		switch *design {
-		case "sa":
-			return tlb.NewSetAssoc(*entries, *ways, w)
-		case "fa":
-			return tlb.NewFullyAssoc(*entries, w)
-		case "1e":
-			return tlb.NewSingleEntry(w)
-		case "sp":
-			vw := *victimWays
-			if vw == 0 {
-				vw = *ways / 2
-			}
-			return tlb.NewSP(*entries, *ways, vw, w)
-		case "rf":
-			return tlb.NewRF(*entries, *ways, w, *seed)
-		case "ri":
-			return tlb.NewRandIdx(*entries, *ways, w, *seed, *rekeyFills)
-		case "fs":
-			return tlb.NewFlushOnSwitch(*entries, *ways, w)
-		default:
-			return nil, fmt.Errorf("unknown TLB design %q", *design)
+		if *tlbCode == "1e" {
+			return design.SA.New(1, 1, 0, 0, 0, w)
 		}
+		d, ok := design.ByCode(*tlbCode)
+		if !ok {
+			return nil, fmt.Errorf("unknown TLB design %q", *tlbCode)
+		}
+		return d.New(*entries, *ways, *victimWays, *seed, *rekeyFills, w)
 	})
 	if err != nil {
 		fatal(err)

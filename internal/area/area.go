@@ -26,40 +26,12 @@ package area
 import (
 	"fmt"
 	"math"
+
+	"securetlb/internal/design"
 )
 
-// Design enumerates the TLB designs of Table 5.
-type Design int
-
-const (
-	// SA is the baseline set-associative TLB.
-	SA Design = iota
-	// SP is the Static-Partition TLB.
-	SP
-	// RF is the Random-Fill TLB.
-	RF
-	// RI is the Randomized-Index TLB.
-	RI
-	// FS is the Flush-on-Switch TLB.
-	FS
-)
-
-// String names the design as in Table 5.
-func (d Design) String() string {
-	switch d {
-	case SA:
-		return "SA TLB"
-	case SP:
-		return "SP TLB"
-	case RF:
-		return "RF TLB"
-	case RI:
-		return "RI TLB"
-	case FS:
-		return "FS TLB"
-	}
-	return "?"
-}
+// Design identifies a Table 5 design: an ID of the design registry.
+type Design = design.ID
 
 // Geometry is a TLB configuration.
 type Geometry struct {
@@ -78,7 +50,7 @@ func Geometries(d Design) []Geometry {
 		{"2W 128", 128, 2},
 		{"4W 128", 128, 4},
 	}
-	if d != SA {
+	if d != design.SA {
 		return gs[1:]
 	}
 	return gs
@@ -145,13 +117,13 @@ func log2(n int) float64 {
 func entryBits(d Design, g Geometry) float64 {
 	nsets := g.Entries / g.Ways
 	tag := float64(vpnBits) - log2(nsets) // index bits are implicit
-	if d == RI {
+	if d == design.RI {
 		// The keyed index is a cipher output, not address bits, so the
 		// full VPN must be stored and compared.
 		tag = float64(vpnBits)
 	}
 	bits := tag + ppnBits + asidBits + validBits + log2(g.Ways)
-	if d == RF {
+	if d == design.RF {
 		bits += secBits
 	}
 	return bits
@@ -161,13 +133,13 @@ func entryBits(d Design, g Geometry) float64 {
 func tlbRegs(d Design, g Geometry) float64 {
 	r := float64(g.Entries) * entryBits(d, g)
 	switch d {
-	case SP:
+	case design.SP:
 		r += regSPFixed
-	case RF:
+	case design.RF:
 		r += regRFFixed
-	case RI:
+	case design.RI:
 		r += regRIFixed
-	case FS:
+	case design.FS:
 		r += regFSFixed
 	}
 	return r
@@ -177,7 +149,7 @@ func tlbRegs(d Design, g Geometry) float64 {
 func tlbLUTs(d Design, g Geometry) float64 {
 	nsets := g.Entries / g.Ways
 	tag := float64(vpnBits) - log2(nsets)
-	if d == RI {
+	if d == design.RI {
 		tag = float64(vpnBits) // full-VPN tags under a keyed index
 	}
 	cmp := float64(g.Ways) * (tag + asidBits + validBits) * lutPerCmpBit
@@ -186,13 +158,13 @@ func tlbLUTs(d Design, g Geometry) float64 {
 	dec := float64(nsets) * lutPerSetDec
 	l := cmp + mux + lru + dec
 	switch d {
-	case SP:
+	case design.SP:
 		l += lutSPFixed + lutSPPerWay*float64(g.Ways)
-	case RF:
+	case design.RF:
 		l += lutRFFixed + lutRFRegionCmp + lutRFPerEntry*float64(g.Entries)
-	case RI:
+	case design.RI:
 		l += lutRIFixed
-	case FS:
+	case design.FS:
 		l += lutFSFixed + lutFSRegionCmp + lutFSPerEntry*float64(g.Entries)
 	}
 	return l
@@ -200,8 +172,8 @@ func tlbLUTs(d Design, g Geometry) float64 {
 
 // core footprint, solved from the calibration point.
 var (
-	coreLUTs = calibLUTs - tlbLUTs(SA, Geometry{"4W 32", 32, 4})
-	coreRegs = calibRegs - tlbRegs(SA, Geometry{"4W 32", 32, 4})
+	coreLUTs = calibLUTs - tlbLUTs(design.SA, Geometry{"4W 32", 32, 4})
+	coreRegs = calibRegs - tlbRegs(design.SA, Geometry{"4W 32", 32, 4})
 )
 
 // Estimate is one Table 5 row.
@@ -230,12 +202,12 @@ func Model(d Design, g Geometry) Estimate {
 	}
 }
 
-// Table5 computes the full table: every design × geometry. The paper's 19
-// configurations (SA with 1E, SP, RF) come first, extended by the RI and FS
-// rows.
+// Table5 computes the full table: every Figure 7 design × geometry (FA is a
+// geometry here). The paper's 19 configurations (SA with 1E, SP, RF) come
+// first, extended by the RI and FS rows.
 func Table5() []Estimate {
 	var rows []Estimate
-	for _, d := range []Design{SA, SP, RF, RI, FS} {
+	for _, d := range design.Perf.Designs() {
 		for _, g := range Geometries(d) {
 			rows = append(rows, Model(d, g))
 		}
@@ -257,7 +229,7 @@ func Find(rows []Estimate, d Design, label string) (Estimate, error) {
 // registers over the same-geometry SA configuration.
 func OverheadPercent(d Design, label string) (lutPct, regPct float64, err error) {
 	rows := Table5()
-	base, err := Find(rows, SA, label)
+	base, err := Find(rows, design.SA, label)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,10 +1,14 @@
 package area
 
-import "testing"
+import (
+	"testing"
+
+	"securetlb/internal/design"
+)
 
 func TestBaselineCalibration(t *testing.T) {
 	// The model is pinned to the paper's measured 4W-32 SA baseline.
-	e := Model(SA, Geometry{"4W 32", 32, 4})
+	e := Model(design.SA, Geometry{"4W 32", 32, 4})
 	if e.LUTs != 36043 || e.Registers != 22765 {
 		t.Errorf("baseline = %d LUTs / %d regs, want 36043 / 22765", e.LUTs, e.Registers)
 	}
@@ -15,7 +19,7 @@ func TestBaselineCalibration(t *testing.T) {
 
 func TestSPOverheadNearPaper(t *testing.T) {
 	// Paper §6.6: SP 4W-32 has +0.4% LUTs and +0.1% registers over SA.
-	lut, reg, err := OverheadPercent(SP, "4W 32")
+	lut, reg, err := OverheadPercent(design.SP, "4W 32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +33,7 @@ func TestSPOverheadNearPaper(t *testing.T) {
 
 func TestRFOverheadNearPaper(t *testing.T) {
 	// Paper §6.6: RF 4W-32 has +6.2% LUTs and +5.5% registers over SA.
-	lut, reg, err := OverheadPercent(RF, "4W 32")
+	lut, reg, err := OverheadPercent(design.RF, "4W 32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestRFOverheadNearPaper(t *testing.T) {
 
 func TestPaperDeltaRows(t *testing.T) {
 	rows := Table5()
-	sp, err := Find(rows, SP, "4W 32")
+	sp, err := Find(rows, design.SP, "4W 32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func TestPaperDeltaRows(t *testing.T) {
 	if sp.DeltaRegisters < 20 || sp.DeltaRegisters > 60 {
 		t.Errorf("SP 4W-32 Δregs = %d, paper reports +33", sp.DeltaRegisters)
 	}
-	rf, _ := Find(rows, RF, "4W 32")
+	rf, _ := Find(rows, design.RF, "4W 32")
 	// Paper: RF 4W-32 is +2223 LUTs / +1253 registers.
 	if rf.DeltaLUTs < 1700 || rf.DeltaLUTs > 2800 {
 		t.Errorf("RF 4W-32 ΔLUTs = %d, paper reports +2223", rf.DeltaLUTs)
@@ -74,7 +78,7 @@ func TestOrderings(t *testing.T) {
 		return e
 	}
 	for _, label := range []string{"FA 32", "2W 32", "4W 32", "FA 128", "2W 128", "4W 128"} {
-		sa, sp, rf := get(SA, label), get(SP, label), get(RF, label)
+		sa, sp, rf := get(design.SA, label), get(design.SP, label), get(design.RF, label)
 		if !(rf.LUTs > sp.LUTs && sp.LUTs > sa.LUTs) {
 			t.Errorf("%s: LUT ordering RF > SP > SA violated (%d, %d, %d)",
 				label, rf.LUTs, sp.LUTs, sa.LUTs)
@@ -83,7 +87,7 @@ func TestOrderings(t *testing.T) {
 			t.Errorf("%s: register ordering violated", label)
 		}
 	}
-	for _, d := range []Design{SA, SP, RF} {
+	for _, d := range []Design{design.SA, design.SP, design.RF} {
 		if !(get(d, "4W 128").Registers > get(d, "4W 32").Registers) {
 			t.Errorf("%s: 128 entries should cost more registers than 32", d)
 		}
@@ -91,7 +95,7 @@ func TestOrderings(t *testing.T) {
 			t.Errorf("%s: FA should cost more LUTs than 4W at 32 entries (CAM match)", d)
 		}
 	}
-	one := get(SA, "1E")
+	one := get(design.SA, "1E")
 	if one.DeltaLUTs >= 0 || one.DeltaRegisters >= 0 {
 		t.Errorf("1E must be smaller than the baseline: %+v", one)
 	}
@@ -101,8 +105,8 @@ func TestFAPaysCAMWidth(t *testing.T) {
 	// FA 128 should be dramatically more expensive than 4W 128 in LUTs:
 	// every entry carries a full-width comparator.
 	rows := Table5()
-	fa, _ := Find(rows, SA, "FA 128")
-	sw, _ := Find(rows, SA, "4W 128")
+	fa, _ := Find(rows, design.SA, "FA 128")
+	sw, _ := Find(rows, design.SA, "4W 128")
 	if fa.LUTs <= sw.LUTs {
 		t.Errorf("FA 128 (%d LUTs) should exceed 4W 128 (%d LUTs)", fa.LUTs, sw.LUTs)
 	}
@@ -113,12 +117,12 @@ func TestTable5Shape(t *testing.T) {
 	if len(rows) != 7+6+6+6+6 {
 		t.Errorf("rows = %d, want 31 (the paper's 19 configurations plus the RI and FS extensions)", len(rows))
 	}
-	for _, d := range []Design{SP, RF, RI, FS} {
+	for _, d := range []Design{design.SP, design.RF, design.RI, design.FS} {
 		if _, err := Find(rows, d, "1E"); err == nil {
 			t.Errorf("%s has no 1E configuration", d)
 		}
 	}
-	if Design(9).String() != "?" || SA.String() != "SA TLB" || RI.String() != "RI TLB" || FS.String() != "FS TLB" {
+	if Design(9).String() != "?" || design.SA.String() != "SA TLB" || design.RI.String() != "RI TLB" || design.FS.String() != "FS TLB" {
 		t.Error("design names wrong")
 	}
 }
@@ -128,7 +132,7 @@ func TestTable5Shape(t *testing.T) {
 // noticeably more than SP, comparable to RF), while the FS TLB is nearly
 // free in area — its security mechanism is an invalidate strobe, not state.
 func TestRIAndFSOverheads(t *testing.T) {
-	riLUT, riReg, err := OverheadPercent(RI, "4W 32")
+	riLUT, riReg, err := OverheadPercent(design.RI, "4W 32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestRIAndFSOverheads(t *testing.T) {
 	if riReg < 0.5 || riReg > 5.0 {
 		t.Errorf("RI register overhead = %.2f%%, want small but nonzero", riReg)
 	}
-	fsLUT, fsReg, err := OverheadPercent(FS, "4W 32")
+	fsLUT, fsReg, err := OverheadPercent(design.FS, "4W 32")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +154,10 @@ func TestRIAndFSOverheads(t *testing.T) {
 	}
 	rows := Table5()
 	for _, label := range []string{"FA 32", "2W 32", "4W 32", "FA 128", "2W 128", "4W 128"} {
-		sp, _ := Find(rows, SP, label)
-		ri, _ := Find(rows, RI, label)
-		fs, _ := Find(rows, FS, label)
-		rf, _ := Find(rows, RF, label)
+		sp, _ := Find(rows, design.SP, label)
+		ri, _ := Find(rows, design.RI, label)
+		fs, _ := Find(rows, design.FS, label)
+		rf, _ := Find(rows, design.RF, label)
 		if !(ri.LUTs > sp.LUTs) {
 			t.Errorf("%s: RI (%d LUTs) should exceed SP (%d)", label, ri.LUTs, sp.LUTs)
 		}

@@ -229,42 +229,6 @@ func RandIdxTheory(v model.Vulnerability, params RandIdxParams) (p1, p2 float64,
 	return eps, eps, nil
 }
 
-// TheoryRow bundles the theoretical columns of Table 4 for one
-// vulnerability.
-type TheoryRow struct {
-	Vulnerability model.Vulnerability
-	SAP1, SAP2    float64
-	SAC           float64
-	SPP1, SPP2    float64
-	SPC           float64
-	RFP1, RFP2    float64
-	RFC           float64
-}
-
-// Table4Theory computes the full theoretical half of Table 4.
-func Table4Theory(params RFParams) ([]TheoryRow, error) {
-	var rows []TheoryRow
-	for _, v := range model.Enumerate() {
-		var r TheoryRow
-		r.Vulnerability = v
-		var err error
-		if r.SAP1, r.SAP2, err = DeterministicTheory(v, model.DesignASID); err != nil {
-			return nil, err
-		}
-		if r.SPP1, r.SPP2, err = DeterministicTheory(v, model.DesignPartitioned); err != nil {
-			return nil, err
-		}
-		if r.RFP1, r.RFP2, err = RFTheory(v, params); err != nil {
-			return nil, err
-		}
-		r.SAC = MutualInformation(r.SAP1, r.SAP2)
-		r.SPC = MutualInformation(r.SPP1, r.SPP2)
-		r.RFC = MutualInformation(r.RFP1, r.RFP2)
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
 // BootstrapCI computes a percentile bootstrap confidence interval for the
 // empirical channel capacity C*: the mapped and not-mapped miss counts are
 // resampled as binomials and Eq. (1) is re-evaluated per resample. conf is

@@ -174,35 +174,6 @@ func TestRFTheoryZeroCapacityForAll24(t *testing.T) {
 	}
 }
 
-func TestTable4TheoryAggregates(t *testing.T) {
-	rows, err := Table4Theory(DefaultRFParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 24 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	saDefended, spDefended, rfDefended := 0, 0, 0
-	for _, r := range rows {
-		if r.SAC < 1e-9 {
-			saDefended++
-		}
-		if r.SPC < 1e-9 {
-			spDefended++
-		}
-		if r.RFC < 1e-9 {
-			rfDefended++
-		}
-		if r.SPC > r.SAC+1e-9 {
-			t.Errorf("%s: SP capacity %v exceeds SA %v", r.Vulnerability, r.SPC, r.SAC)
-		}
-	}
-	if saDefended != 10 || spDefended != 14 || rfDefended != 24 {
-		t.Errorf("defended counts (SA,SP,RF) = (%d,%d,%d), want (10,14,24)",
-			saDefended, spDefended, rfDefended)
-	}
-}
-
 func TestSecRangeFor(t *testing.T) {
 	vulns := model.Enumerate()
 	// The large, contention-heavy region applies to the three a-dominated

@@ -80,12 +80,7 @@ const (
 
 // Sites returns every registered site, in stable order.
 func Sites() []Site {
-	return []Site{
-		SiteTagFlip, SitePPNFlip, SiteSecFlip, SiteDropFill, SiteDupFill,
-		SiteStuckLRU, SiteRNGBias, SiteRandIdxKeyStuck, SiteFlushSwDropped,
-		SiteWalkCorrupt, SiteMemBitRot,
-		SiteCheckpointTruncate, SiteCheckpointBitRot,
-	}
+	return append(MachineSites(), SiteCheckpointTruncate, SiteCheckpointBitRot)
 }
 
 // MachineSites returns the sites armed on a running machine (everything but
@@ -107,15 +102,6 @@ func ParseSite(s string) (Site, error) {
 	}
 	return "", fmt.Errorf("faultinject: unknown site %q (want one of %v)", s, Sites())
 }
-
-// RFOnly reports whether the site is meaningful only on the RF design.
-func (s Site) RFOnly() bool { return s == SiteSecFlip || s == SiteRNGBias }
-
-// RIOnly reports whether the site is meaningful only on the RI design.
-func (s Site) RIOnly() bool { return s == SiteRandIdxKeyStuck }
-
-// FSOnly reports whether the site is meaningful only on the FS design.
-func (s Site) FSOnly() bool { return s == SiteFlushSwDropped }
 
 // splitmix64 is the seed-expansion step: successive calls on an evolving
 // state yield the independent decision streams an injector needs.
@@ -187,75 +173,52 @@ func (in *Injector) Detail() string { return in.detail }
 // the array underneath the detector, not the detector). Components a site
 // does not need may be nil.
 func (in *Injector) Arm(t tlb.TLB, pt *ptw.PageTables, m *mem.Memory) error {
+	var hook tlb.FaultHook
+	fits := true // a design-specific site's hook exists only on its design
 	switch in.site {
 	case SiteTagFlip, SitePPNFlip, SiteSecFlip:
-		insp, ok := t.(tlb.Inspectable)
-		if !ok {
-			return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
-		}
-		in.insp = insp
-		insp.SetFaultHook(&tlb.FaultHook{OnAccess: in.onAccess})
+		hook.OnAccess = in.onAccess
 	case SiteDropFill, SiteDupFill:
-		insp, ok := t.(tlb.Inspectable)
-		if !ok {
-			return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
-		}
-		in.insp = insp
-		insp.SetFaultHook(&tlb.FaultHook{OnFill: in.onFill})
+		hook.OnFill = in.onFill
 	case SiteStuckLRU:
-		insp, ok := t.(tlb.Inspectable)
-		if !ok {
-			return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
-		}
-		in.insp = insp
-		insp.SetFaultHook(&tlb.FaultHook{OnLRUTouch: in.onLRUTouch})
+		hook.OnLRUTouch = in.onLRUTouch
 	case SiteRNGBias:
-		insp, ok := t.(tlb.Inspectable)
-		if !ok {
-			return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
-		}
-		if _, ok := t.(*tlb.RF); !ok {
-			return fmt.Errorf("faultinject: %s applies only to the RF design, have %s", in.site, t.Name())
-		}
-		in.insp = insp
-		insp.SetFaultHook(&tlb.FaultHook{OnRNGDraw: in.onRNGDraw})
+		hook.OnRNGDraw = in.onRNGDraw
+		_, fits = t.(*tlb.RF)
 	case SiteRandIdxKeyStuck:
-		insp, ok := t.(tlb.Inspectable)
-		if !ok {
-			return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
-		}
-		if _, ok := t.(*tlb.RandIdx); !ok {
-			return fmt.Errorf("faultinject: %s applies only to the RI design, have %s", in.site, t.Name())
-		}
-		in.insp = insp
-		insp.SetFaultHook(&tlb.FaultHook{OnRekey: in.onRekey})
+		hook.OnRekey = in.onRekey
+		_, fits = t.(*tlb.RandIdx)
 	case SiteFlushSwDropped:
-		insp, ok := t.(tlb.Inspectable)
-		if !ok {
-			return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
-		}
-		if _, ok := t.(*tlb.FlushOnSwitch); !ok {
-			return fmt.Errorf("faultinject: %s applies only to the FS design, have %s", in.site, t.Name())
-		}
-		in.insp = insp
-		insp.SetFaultHook(&tlb.FaultHook{OnAutoFlush: in.onAutoFlush})
+		hook.OnAutoFlush = in.onAutoFlush
+		_, fits = t.(*tlb.FlushOnSwitch)
 	case SiteWalkCorrupt:
 		if pt == nil {
 			return fmt.Errorf("faultinject: %s needs page tables", in.site)
 		}
 		in.pt = pt
 		pt.SetWalkHook(in.onWalk)
+		return nil
 	case SiteMemBitRot:
 		if m == nil {
 			return fmt.Errorf("faultinject: %s needs a memory", in.site)
 		}
 		in.m = m
 		m.SetLoadHook(in.onLoad)
+		return nil
 	case SiteCheckpointTruncate, SiteCheckpointBitRot:
 		return fmt.Errorf("faultinject: %s corrupts files at rest; use CorruptFile", in.site)
 	default:
 		return fmt.Errorf("faultinject: unknown site %q", in.site)
 	}
+	insp, ok := t.(tlb.Inspectable)
+	if !ok {
+		return fmt.Errorf("faultinject: %s needs an inspectable TLB, have %T", in.site, t)
+	}
+	if !fits {
+		return fmt.Errorf("faultinject: %s does not apply to %s", in.site, t.Name())
+	}
+	in.insp = insp
+	insp.SetFaultHook(&hook)
 	return nil
 }
 

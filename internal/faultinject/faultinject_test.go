@@ -27,58 +27,6 @@ func TestParseSite(t *testing.T) {
 	}
 }
 
-// TestMachineSitesFire arms each machine site on the design it targets — the
-// RI TLB for the re-key site, the FS TLB for the flush site, the RF TLB
-// (superset of the remaining hooks) otherwise — and drives traffic until the
-// fault lands.
-func TestMachineSitesFire(t *testing.T) {
-	for _, site := range MachineSites() {
-		if site == SiteWalkCorrupt || site == SiteMemBitRot {
-			continue // need a real ptw/mem; covered by the secbench matrix
-		}
-		t.Run(string(site), func(t *testing.T) {
-			var design tlb.TLB
-			var err error
-			switch {
-			case site.RIOnly():
-				design, err = tlb.NewRandIdx(32, 8, walker(), 0x5eed, 8)
-			case site.FSOnly():
-				design, err = tlb.NewFlushOnSwitch(32, 8, walker())
-			default:
-				var rf *tlb.RF
-				rf, err = tlb.NewRF(32, 8, walker(), 0x5eed)
-				if rf != nil {
-					rf.SetVictim(1)
-					rf.SetSecureRegion(0x100, 8)
-				}
-				design = rf
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := New(site, 0xfa01)
-			if err := in.Arm(design, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			defer in.Disarm()
-			for i := 0; i < 64 && !in.Fired(); i++ {
-				// Mix attacker traffic with victim secure-region traffic so
-				// every event class (fills, hits, touches, draws, context
-				// switches, re-keys) occurs.
-				design.Translate(0, tlb.VPN(i%12))
-				design.Translate(1, tlb.VPN(0x100+i%8))
-				design.Translate(0, tlb.VPN(i%12))
-			}
-			if !in.Fired() {
-				t.Fatalf("site %s never fired", site)
-			}
-			if in.Detail() == "" {
-				t.Error("fired injector has no detail")
-			}
-		})
-	}
-}
-
 // TestDeterministic requires two injectors with the same (site, seed) to land
 // the identical fault on identical traffic.
 func TestDeterministic(t *testing.T) {

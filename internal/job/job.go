@@ -19,9 +19,8 @@ import (
 	"errors"
 	"fmt"
 
+	"securetlb/internal/design"
 	"securetlb/internal/fingerprint"
-	"securetlb/internal/perf"
-	"securetlb/internal/secbench"
 )
 
 // The package's sentinel errors.
@@ -102,23 +101,22 @@ func (s Spec) Normalize() Spec {
 // has an FA row the perf arena doesn't), so a spec that validates is a spec
 // the runner can execute.
 func (s Spec) Validate() error {
+	arena := design.Security
 	switch s.Kind {
 	case KindSecbench:
 		if s.Trials <= 0 {
 			return fmt.Errorf("job: trials must be positive, got %d", s.Trials)
 		}
-		if _, err := secbench.ParseDesigns(s.Design); err != nil {
-			return fmt.Errorf("job: %v", err)
-		}
 	case KindPerf:
 		if s.Decrypts <= 0 {
 			return fmt.Errorf("job: decrypts must be positive, got %d", s.Decrypts)
 		}
-		if _, err := perf.ParseDesigns(s.Design); err != nil {
-			return fmt.Errorf("job: %v", err)
-		}
+		arena = design.Perf
 	default:
 		return fmt.Errorf("job: unknown kind %q (want %q or %q)", s.Kind, KindSecbench, KindPerf)
+	}
+	if _, err := arena.Parse(s.Design); err != nil {
+		return fmt.Errorf("job: %v", err)
 	}
 	return nil
 }

@@ -1,99 +1,14 @@
 package perf
 
-// Shared rendering and selector parsing for the Figure 7 sweeps, used by
+// Shared rendering for the Figure 7 sweeps, used by
 // both cmd/perfbench and the tlbserved daemon so a served sweep's table is
 // byte-identical to the direct CLI run.
 
 import (
 	"fmt"
-	"strings"
 
 	"securetlb/internal/report"
 )
-
-// designCodes is the selector list the -designs flag parses and documents
-// itself from, in display order. The perf arena has no FA row (the FA
-// geometries are already part of every design's sweep).
-var designCodes = []struct {
-	code string
-	d    Design
-}{
-	{"sa", SA},
-	{"sp", SP},
-	{"rf", RF},
-	{"ri", RI},
-	{"fs", FS},
-}
-
-// AllDesigns returns every design in the performance arena, in selector
-// order.
-func AllDesigns() []Design {
-	out := make([]Design, len(designCodes))
-	for i, dc := range designCodes {
-		out[i] = dc.d
-	}
-	return out
-}
-
-// DesignUsage is the shared -designs flag help text.
-func DesignUsage() string {
-	codes := make([]string, len(designCodes))
-	for i, dc := range designCodes {
-		codes[i] = dc.code
-	}
-	return fmt.Sprintf("%s, a comma-separated combination, \"all\" (the paper's sa,sp,rf trio) or \"full\" (every design)",
-		strings.Join(codes, ", "))
-}
-
-// ParseDesigns maps the CLI/API design selector to the designs it runs:
-// single codes, comma-separated combinations, "all" or "full".
-func ParseDesigns(s string) ([]Design, error) {
-	switch s {
-	case "all":
-		// The paper's Figure 7 trio; RI and FS are the arena extension.
-		return []Design{SA, SP, RF}, nil
-	case "full":
-		return AllDesigns(), nil
-	}
-	var out []Design
-	seen := map[Design]bool{}
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		found := false
-		for _, dc := range designCodes {
-			if dc.code == tok {
-				if !seen[dc.d] {
-					out = append(out, dc.d)
-					seen[dc.d] = true
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown design %q (want %s)", tok, DesignUsage())
-		}
-	}
-	return out, nil
-}
-
-// FigureLabel names the paper figure a design's IPC/MPKI pair lands in; the
-// RI and FS rows extend Figure 7 beyond the paper's panels.
-func FigureLabel(d Design) string {
-	switch d {
-	case SA:
-		return "7a/7d"
-	case SP:
-		return "7b/7e"
-	case RF:
-		return "7c/7f"
-	case RI:
-		return "7 ext-RI"
-	case FS:
-		return "7 ext-FS"
-	}
-	return "?"
-}
 
 // SweepHeader renders the per-sweep title line exactly as cmd/perfbench
 // prints it.
@@ -102,8 +17,8 @@ func SweepHeader(d Design, secure bool, decrypts, workers int) string {
 	if secure {
 		label = "SecRSA"
 	}
-	return fmt.Sprintf("Figure %s — %s TLB, %s, %d decryptions, %d workers\n",
-		FigureLabel(d), d, label, decrypts, workers)
+	return fmt.Sprintf("Figure %s — %s, %s, %d decryptions, %d workers\n",
+		d.Entry().Figure, d, label, decrypts, workers)
 }
 
 // FormatRows renders a sweep's rows as the perfbench table (plus its

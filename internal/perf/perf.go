@@ -13,51 +13,32 @@ package perf
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"securetlb/internal/checkpoint"
+	"securetlb/internal/design"
 	"securetlb/internal/pool"
 	"securetlb/internal/tlb"
 	"securetlb/internal/victim"
 	"securetlb/internal/workload"
 )
 
-// Design identifies the TLB design under test.
-type Design int
+// Design identifies the TLB design under test: a design-registry ID.
+type Design = design.ID
 
+// The Figure 7 designs.
 const (
-	// SA is the standard set-associative (or fully-associative) TLB.
-	SA Design = iota
-	// SP is the Static-Partition TLB with half the ways for the victim.
-	SP
-	// RF is the Random-Fill TLB.
-	RF
-	// RI is the Randomized-Index TLB (keyed set indexing, periodic re-key).
-	RI
-	// FS is the Flush-on-Switch TLB (full invalidation on context switches
-	// and secure-region exits).
-	FS
+	SA = design.SA
+	SP = design.SP
+	RF = design.RF
+	RI = design.RI
+	FS = design.FS
 )
-
-// String names the design.
-func (d Design) String() string {
-	switch d {
-	case SA:
-		return "SA"
-	case SP:
-		return "SP"
-	case RF:
-		return "RF"
-	case RI:
-		return "RI"
-	case FS:
-		return "FS"
-	}
-	return "?"
-}
 
 // Geometry is one TLB configuration of §6.2.
 type Geometry struct {
@@ -107,55 +88,20 @@ func flatWalker() tlb.Walker {
 }
 
 // BuildTLB constructs a design/geometry pair over the flat walker. secure
-// enables the SecRSA protections: the victim ASID (and, for RF, the secure
-// region covering the RSA MPI pages) is programmed; with secure false the
-// secure designs run unconfigured, exactly like the paper's RSA (no
-// security) runs.
+// enables the SecRSA protections: a design with security registers gets the
+// victim ASID and the secure region covering the RSA MPI pages; with secure
+// false the secure designs run unconfigured, exactly like the paper's RSA
+// (no security) runs.
 func BuildTLB(d Design, g Geometry, secure bool, seed uint64) (tlb.TLB, error) {
-	w := flatWalker()
-	switch d {
-	case SA:
-		return tlb.NewSetAssoc(g.Entries, g.Ways, w)
-	case SP:
-		if g.Ways < 2 {
-			return nil, fmt.Errorf("perf: SP needs >= 2 ways, geometry %s", g.Label)
-		}
-		sp, err := tlb.NewSP(g.Entries, g.Ways, g.Ways/2, w)
-		if err != nil {
-			return nil, err
-		}
-		if secure {
-			sp.SetVictim(victimASID)
-		}
-		return sp, nil
-	case RF:
-		rf, err := tlb.NewRF(g.Entries, g.Ways, w, seed)
-		if err != nil {
-			return nil, err
-		}
-		if secure {
-			rf.SetVictim(victimASID)
-			base, size := victim.DefaultLayout.SecureRegion()
-			rf.SetSecureRegion(base, size)
-		}
-		return rf, nil
-	case RI:
-		return tlb.NewRandIdx(g.Entries, g.Ways, w, seed, perfRekeyFills)
-	case FS:
-		fs, err := tlb.NewFlushOnSwitch(g.Entries, g.Ways, w)
-		if err != nil {
-			return nil, err
-		}
-		if secure {
-			// The secure-region exit flush only arms when the victim and
-			// region are programmed; the switch flush is unconditional.
-			fs.SetVictim(victimASID)
-			base, size := victim.DefaultLayout.SecureRegion()
-			fs.SetSecureRegion(base, size)
-		}
-		return fs, nil
+	t, err := d.New(g.Entries, g.Ways, 0, seed, perfRekeyFills, flatWalker())
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("perf: unknown design %d", d)
+	if st, ok := t.(tlb.SecureTLB); ok && secure {
+		st.SetVictim(victimASID)
+		st.SetSecureRegion(victim.DefaultLayout.SecureRegion())
+	}
+	return t, nil
 }
 
 // Metrics are the whole-system measurements of one run.
@@ -317,6 +263,35 @@ type Row struct {
 	Metrics  Metrics
 }
 
+// MarshalJSON writes Design as its index in the Figure 7 arena (SA=0 …
+// FS=4), the number perfbench -json and sweep checkpoints carry.
+func (r Row) MarshalJSON() ([]byte, error) {
+	type plain Row
+	return json.Marshal(struct {
+		Design int
+		plain
+	}{slices.Index(design.Perf.Designs(), r.Design), plain(r)})
+}
+
+// UnmarshalJSON reads the form MarshalJSON writes.
+func (r *Row) UnmarshalJSON(b []byte) error {
+	type plain Row
+	var w struct {
+		Design int
+		plain
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	arena := design.Perf.Designs()
+	if w.Design < 0 || w.Design >= len(arena) {
+		return fmt.Errorf("perf: row design %d is not in the Figure 7 arena", w.Design)
+	}
+	*r = Row(w.plain)
+	r.Design = arena[w.Design]
+	return nil
+}
+
 // Cell runs one Figure 7 cell: RSA (optionally SecRSA) with an optional
 // SPEC co-runner on the given design/geometry. The access stream of a cell's
 // schedule is TLB-independent, so it is captured once per (workload mix,
@@ -352,18 +327,12 @@ func Cell(d Design, g Geometry, spec workload.Generator, secure bool, decrypts i
 // be built with fewer than two ways.
 func Figure7(d Design, secure bool, decrypts int, seed uint64) ([]Row, error) {
 	var rows []Row
-	for _, g := range Geometries() {
-		if g.Label == "1E" && d != SA {
-			continue
+	for _, c := range cellSpecs(d) {
+		row, err := Cell(d, c.g, c.spec, secure, decrypts, seed)
+		if err != nil {
+			return nil, err
 		}
-		coRunners := append([]workload.Generator{nil}, workload.SpecSuite()...)
-		for _, spec := range coRunners {
-			row, err := Cell(d, g, spec, secure, decrypts, seed)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -421,7 +390,7 @@ func cellKey(d Design, c cellSpec, secure bool, decrypts int, seed uint64) strin
 		co = c.spec.Name()
 	}
 	return fmt.Sprintf("fig7|%s|%s|%s|secure=%v|decrypts=%d|seed=%d",
-		d, c.g.Label, co, secure, decrypts, seed)
+		d.Entry().Name, c.g.Label, co, secure, decrypts, seed)
 }
 
 // SweepFingerprint identifies a perf sweep for checkpoint validation. The

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"securetlb/internal/design"
 	"securetlb/internal/tlb"
 	"securetlb/internal/workload"
 )
@@ -36,7 +37,7 @@ func guardConfigs(t *testing.T) []struct {
 		{"mixture", func() workload.Generator { return workload.Povray() }},
 		{"streaming", func() workload.Generator { return workload.CactusADM() }},
 	}
-	for _, d := range AllDesigns() {
+	for _, d := range design.Perf.Designs() {
 		for _, g := range Geometries() {
 			if g.Label == "1E" && d != SA {
 				continue
@@ -53,7 +54,7 @@ func guardConfigs(t *testing.T) []struct {
 						spec   workload.Generator
 						secure bool
 					}{
-						name:   d.String() + "/" + g.Label + "/" + co.name,
+						name:   d.Entry().Name + "/" + g.Label + "/" + co.name,
 						d:      d,
 						g:      g,
 						spec:   co.gen(),
@@ -194,8 +195,8 @@ func TestStreamReplayFlushOnSwitch(t *testing.T) {
 // proves for Table 4: the published Figure 7 rows are identical with the
 // stream replay enabled and disabled, for every design.
 func TestFigure7TraceToggle(t *testing.T) {
-	for _, d := range AllDesigns() {
-		t.Run(d.String(), func(t *testing.T) {
+	for _, d := range design.Perf.Designs() {
+		t.Run(d.Entry().Name, func(t *testing.T) {
 			DisableTrace = true
 			full, err := Figure7(d, true, 2, 11)
 			DisableTrace = false

@@ -24,23 +24,17 @@ import (
 
 	"securetlb/internal/assert"
 	"securetlb/internal/checkpoint"
+	"securetlb/internal/design"
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
 	"securetlb/internal/pool"
 )
 
 // DesignsForSite returns the designs a machine fault site applies to: the
-// design-specific sites (the RF TLB's RNG bias, the RI TLB's stuck key
-// register, the FS TLB's dropped flush strobe) run only on their design;
-// every other site runs on the full arena.
+// site's owner in the design registry alone, or else the full arena.
 func DesignsForSite(site faultinject.Site) []Design {
-	switch {
-	case site.RFOnly():
-		return []Design{DesignRF}
-	case site.RIOnly():
-		return []Design{DesignRI}
-	case site.FSOnly():
-		return []Design{DesignFS}
+	if d, ok := design.SiteOwner(site); ok {
+		return []Design{d}
 	}
 	return AllDesigns()
 }

@@ -11,100 +11,12 @@ import (
 	"strings"
 
 	"securetlb/internal/capacity"
-	"securetlb/internal/model"
+	"securetlb/internal/design"
 	"securetlb/internal/report"
 )
 
-// designCodes is the single source of truth for the design selector: every
-// front-end's -designs flag parses and documents itself from this list, in
-// this order.
-var designCodes = []struct {
-	code string
-	d    Design
-}{
-	{"sa", DesignSA},
-	{"sp", DesignSP},
-	{"rf", DesignRF},
-	{"fa", DesignFA},
-	{"ri", DesignRI},
-	{"fs", DesignFS},
-}
-
-// AllDesigns returns every design in the arena, in selector order.
-func AllDesigns() []Design {
-	out := make([]Design, len(designCodes))
-	for i, dc := range designCodes {
-		out[i] = dc.d
-	}
-	return out
-}
-
-// DesignUsage is the shared -designs flag help text.
-func DesignUsage() string {
-	codes := make([]string, len(designCodes))
-	for i, dc := range designCodes {
-		codes[i] = dc.code
-	}
-	return fmt.Sprintf("%s, a comma-separated combination, \"all\" (the paper's sa,sp,rf trio) or \"full\" (every design)",
-		strings.Join(codes, ", "))
-}
-
-// ParseDesigns maps the CLI/API design selector to the designs it runs:
-// single codes, comma-separated combinations ("sa,ri,fs"), "all" or "full".
-func ParseDesigns(s string) ([]Design, error) {
-	switch s {
-	case "all":
-		// "all" keeps meaning the paper's three Table 4 designs; the later
-		// arrivals (FA, RI, FS) are opt-in so checkpointed invocations keep
-		// their shape.
-		return []Design{DesignSA, DesignSP, DesignRF}, nil
-	case "full":
-		return AllDesigns(), nil
-	}
-	var out []Design
-	seen := map[Design]bool{}
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		found := false
-		for _, dc := range designCodes {
-			if dc.code == tok {
-				if !seen[dc.d] {
-					out = append(out, dc.d)
-					seen[dc.d] = true
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown design %q (want %s)", tok, DesignUsage())
-		}
-	}
-	return out, nil
-}
-
-// Theory returns the analytical p1/p2 of §5.3.1 for one (design,
-// vulnerability) pair — the theory half of Table 4's columns.
-func Theory(d Design, v model.Vulnerability) (p1, p2 float64) {
-	switch d {
-	case DesignSA:
-		p1, p2, _ = capacity.DeterministicTheory(v, model.DesignASID)
-	case DesignSP:
-		p1, p2, _ = capacity.DeterministicTheory(v, model.DesignPartitioned)
-	case DesignRF:
-		p1, p2, _ = capacity.RFTheory(v, capacity.DefaultRFParams)
-	case DesignFA:
-		// Fully associative behaves as an unpartitioned deterministic-ASID
-		// design for the analytical model: same LRU state machine as SA, one
-		// set instead of several.
-		p1, p2, _ = capacity.DeterministicTheory(v, model.DesignASID)
-	case DesignRI:
-		p1, p2, _ = capacity.RandIdxTheory(v, capacity.DefaultRandIdxParams)
-	case DesignFS:
-		p1, p2, _ = capacity.DeterministicTheory(v, model.DesignFlushed)
-	}
-	return p1, p2
-}
+// AllDesigns returns every design in the Table 4 arena, in selector order.
+func AllDesigns() []Design { return design.Security.Designs() }
 
 // QuarantineRows converts quarantined trials to the row shape of
 // report.Quarantine.
@@ -150,7 +62,7 @@ func FormatCampaign(d Design, trials, workers int, extended bool, rep CampaignRe
 			report.F(r.P1),
 		}
 		if !extended {
-			tp1, tp2 := Theory(d, r.Vulnerability)
+			tp1, tp2 := d.Entry().Theory(r.Vulnerability)
 			tc := capacity.MutualInformation(tp1, tp2)
 			row = append(row, report.F(tp1),
 				fmt.Sprintf("%d", r.Counts.NotMappedMisses),

@@ -43,52 +43,25 @@ import (
 	"strings"
 
 	"securetlb/internal/capacity"
+	"securetlb/internal/design"
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
 	"securetlb/internal/tlb"
 )
 
-// Design selects which TLB implementation a benchmark campaign runs on.
-type Design int
+// Design selects which TLB design a campaign runs on: an ID of the design
+// registry.
+type Design = design.ID
 
+// The registered designs under their secbench names.
 const (
-	// DesignSA is the standard set-associative TLB.
-	DesignSA Design = iota
-	// DesignSP is the Static-Partition TLB (half the ways to the victim).
-	DesignSP
-	// DesignRF is the Random-Fill TLB.
-	DesignRF
-	// DesignFA is the fully-associative TLB (one set, ways == entries).
-	// Appended after the paper's three designs so the enum values above stay
-	// stable in checkpoints and saved configs.
-	DesignFA
-	// DesignRI is the Randomized-Index TLB (TLBcoat-style keyed set
-	// indexing with periodic re-keying). Appended after FA for the same
-	// checkpoint-stability reason.
-	DesignRI
-	// DesignFS is the Flush-on-Switch TLB (SIMF-style full invalidation on
-	// context switches and secure-region exits).
-	DesignFS
+	DesignSA = design.SA
+	DesignSP = design.SP
+	DesignRF = design.RF
+	DesignFA = design.FA
+	DesignRI = design.RI
+	DesignFS = design.FS
 )
-
-// String names the design as in the paper's tables.
-func (d Design) String() string {
-	switch d {
-	case DesignSA:
-		return "SA TLB"
-	case DesignSP:
-		return "SP TLB"
-	case DesignRF:
-		return "RF TLB"
-	case DesignFA:
-		return "FA TLB"
-	case DesignRI:
-		return "RI TLB"
-	case DesignFS:
-		return "FS TLB"
-	}
-	return "?"
-}
 
 // Config parameterises a benchmark campaign. The zero value is not valid;
 // use DefaultConfig.
@@ -156,8 +129,8 @@ func DefaultConfig(d Design) Config {
 		Params:     capacity.DefaultRFParams,
 		MemLatency: 20,
 	}
-	if d == DesignFA {
-		// Fully associative: one set holding every entry.
+	if d.Entry().FullyAssoc {
+		// One set holding every entry.
 		c.Ways = c.Entries
 	}
 	if d == DesignRI {
@@ -472,23 +445,5 @@ func sortedPages(set map[uint64]bool) []uint64 {
 
 // NewTLB constructs the configured TLB over a walker, ready for a campaign.
 func (c Config) NewTLB(w tlb.Walker, seed uint64) (tlb.TLB, error) {
-	switch c.Design {
-	case DesignSA:
-		return tlb.NewSetAssoc(c.Entries, c.Ways, w)
-	case DesignSP:
-		sp, err := tlb.NewSP(c.Entries, c.Ways, c.VictimWays, w)
-		if err != nil {
-			return nil, err
-		}
-		return sp, nil
-	case DesignRF:
-		return tlb.NewRF(c.Entries, c.Ways, w, seed)
-	case DesignFA:
-		return tlb.NewFullyAssoc(c.Entries, w)
-	case DesignRI:
-		return tlb.NewRandIdx(c.Entries, c.Ways, w, seed, c.RekeyFills)
-	case DesignFS:
-		return tlb.NewFlushOnSwitch(c.Entries, c.Ways, w)
-	}
-	return nil, fmt.Errorf("secbench: unknown design %d", c.Design)
+	return c.Design.New(c.Entries, c.Ways, c.VictimWays, seed, c.RekeyFills, w)
 }

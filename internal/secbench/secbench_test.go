@@ -87,47 +87,60 @@ func TestGenerateRejectsExtendedPatterns(t *testing.T) {
 	}
 }
 
-func TestSAMatchesDeterministicTheory(t *testing.T) {
-	// The SA TLB is deterministic: every trial gives the same outcome, and
-	// the empirical (p1*, p2*) must equal the oracle-derived theory exactly.
-	cfg := testConfig(DesignSA, 8)
-	results, err := cfg.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := DefendedCount(results); n != 10 {
-		t.Errorf("SA defends %d, want 10", n)
-	}
-	for _, r := range results {
-		p1, p2, err := capacity.DeterministicTheory(r.Vulnerability, model.DesignASID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.P1 != p1 || r.P2 != p2 {
-			t.Errorf("SA %s: empirical (%.2f,%.2f) != theory (%.0f,%.0f)",
-				r.Vulnerability, r.P1, r.P2, p1, p2)
-		}
+// TestDeterministicDesignsMatchTheory runs the deterministic designs whose
+// oracle is exact (SA and SP; FA and FS differ on a few rows, see
+// EXPERIMENTS.md) and requires every empirical (p1*, p2*) to equal the
+// theory the design registry gives the design, so a design wired to the
+// wrong theory fails here.
+func TestDeterministicDesignsMatchTheory(t *testing.T) {
+	for _, tc := range []struct {
+		d        Design
+		defended int
+	}{{DesignSA, 10}, {DesignSP, 14}} {
+		t.Run(tc.d.Entry().Name, func(t *testing.T) {
+			results, err := testConfig(tc.d, 8).RunAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := DefendedCount(results); n != tc.defended {
+				t.Errorf("%s defends %d, want %d", tc.d, n, tc.defended)
+			}
+			for _, r := range results {
+				p1, p2 := tc.d.Entry().Theory(r.Vulnerability)
+				if r.P1 != p1 || r.P2 != p2 {
+					t.Errorf("%s %s: empirical (%.2f,%.2f) != theory (%.0f,%.0f)",
+						tc.d, r.Vulnerability, r.P1, r.P2, p1, p2)
+				}
+			}
+		})
 	}
 }
 
-func TestSPMatchesDeterministicTheory(t *testing.T) {
-	cfg := testConfig(DesignSP, 8)
-	results, err := cfg.RunAll()
+// TestFATheoryGap pins the documented gap between the FA TLB and its theory,
+// the SA oracle: the oracle's "u in a different set" scenario cannot happen
+// on a one-set TLB, so the campaign and the theory disagree on exactly the 8
+// Evict + Time, Prime + Probe and Bernstein rows, where the theory gives
+// C = 1 and the campaign measures C* = 0.
+func TestFATheoryGap(t *testing.T) {
+	results, err := testConfig(DesignFA, 8).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := DefendedCount(results); n != 14 {
-		t.Errorf("SP defends %d, want 14", n)
-	}
+	gap := map[string]bool{"TLB Evict + Time": true, "TLB Prime + Probe": true, "TLB version of Bernstein's Attack": true}
+	n := 0
 	for _, r := range results {
-		p1, p2, err := capacity.DeterministicTheory(r.Vulnerability, model.DesignPartitioned)
-		if err != nil {
-			t.Fatal(err)
+		p1, p2 := DesignFA.Entry().Theory(r.Vulnerability)
+		if r.P1 == p1 && r.P2 == p2 {
+			continue
 		}
-		if r.P1 != p1 || r.P2 != p2 {
-			t.Errorf("SP %s: empirical (%.2f,%.2f) != theory (%.0f,%.0f)",
-				r.Vulnerability, r.P1, r.P2, p1, p2)
+		n++
+		if !gap[r.Vulnerability.Strategy] || r.C != 0 || capacity.MutualInformation(p1, p2) != 1 {
+			t.Errorf("FA %s: empirical (%.2f,%.2f) C*=%.2f vs theory (%.0f,%.0f) is outside the documented gap",
+				r.Vulnerability, r.P1, r.P2, r.C, p1, p2)
 		}
+	}
+	if n != 8 {
+		t.Errorf("FA disagrees with its theory on %d rows, want 8", n)
 	}
 }
 

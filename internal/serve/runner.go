@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"securetlb/internal/checkpoint"
+	"securetlb/internal/design"
 	"securetlb/internal/job"
 	"securetlb/internal/perf"
 	"securetlb/internal/pool"
@@ -103,7 +104,7 @@ func (r *CampaignRunner) fingerprint(spec job.Spec) string {
 	if spec.Kind == job.KindPerf {
 		return perf.SweepFingerprint(spec.Seed)
 	}
-	designs, err := secbench.ParseDesigns(spec.Design)
+	designs, err := design.Security.Parse(spec.Design)
 	if err != nil {
 		return "invalid:" + spec.Design
 	}
@@ -158,7 +159,7 @@ func (r *CampaignRunner) watchProgress(ck *checkpoint.File, publish func(job.Eve
 
 func (r *CampaignRunner) runSecbench(ctx context.Context, spec job.Spec, ck *checkpoint.File) (Result, error) {
 	res := Result{Kind: job.KindSecbench}
-	designs, err := secbench.ParseDesigns(spec.Design)
+	designs, err := design.Security.Parse(spec.Design)
 	if err != nil {
 		return res, err
 	}
@@ -185,7 +186,7 @@ func (r *CampaignRunner) runSecbench(ctx context.Context, spec job.Spec, ck *che
 
 func (r *CampaignRunner) runPerf(ctx context.Context, spec job.Spec, ck *checkpoint.File) (Result, error) {
 	res := Result{Kind: job.KindPerf}
-	designs, err := perf.ParseDesigns(spec.Design)
+	designs, err := design.Perf.Parse(spec.Design)
 	if err != nil {
 		return res, err
 	}

@@ -123,7 +123,7 @@ func MutualInformation(p1, p2 float64) float64 { return capacity.MutualInformati
 type (
 	// SecurityResult is one empirical Table 4 row.
 	SecurityResult = secbench.Result
-	// SecurityDesign selects SA, SP or RF for a campaign.
+	// SecurityDesign selects a campaign's design; it is PerfDesign's type.
 	SecurityDesign = secbench.Design
 )
 
@@ -169,7 +169,8 @@ func NewRSAVictim(bits int, seed uint64) (*RSAVictim, error) {
 
 // Performance evaluation (Figure 7).
 type (
-	// PerfDesign selects the design for performance runs.
+	// PerfDesign selects the design for performance runs (one type with
+	// SecurityDesign: the design registry's ID).
 	PerfDesign = perf.Design
 	// PerfRow is one Figure 7 bar.
 	PerfRow = perf.Row
