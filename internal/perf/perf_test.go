@@ -2,10 +2,13 @@ package perf
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"securetlb/internal/checkpoint"
@@ -249,6 +252,32 @@ func TestDesignString(t *testing.T) {
 	// Cell keys use the short name, sweep headers the full one.
 	if SA.Entry().Name != "SA" || SP.Entry().Name != "SP" || RF.String() != "RF TLB" || Design(7).String() != "?" {
 		t.Error("design names wrong")
+	}
+}
+
+// TestRowJSONKeepsArenaIndex pins Row's wire form: Design is written as its
+// index in the Figure 7 arena (RI=3, FS=4, not their registry IDs), the
+// number perfbench -json prints and sweep checkpoints store, and it decodes
+// back to the same design.
+func TestRowJSONKeepsArenaIndex(t *testing.T) {
+	for i, d := range []Design{SA, SP, RF, RI, FS} {
+		row := Row{Design: d, Geometry: "4W 32", Workload: "RSA", Decrypts: 5}
+		b, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf(`{"Design":%d,"Geometry":"4W 32","Workload":"RSA","Secure":false,"Decrypts":5,`, i)
+		if !strings.HasPrefix(string(b), want) {
+			t.Errorf("%v encodes as %s, want prefix %s", d, b, want)
+		}
+		var back Row
+		if err := json.Unmarshal(b, &back); err != nil || back != row {
+			t.Errorf("%v round-trips to %+v, %v", d, back, err)
+		}
+	}
+	var r Row
+	if err := json.Unmarshal([]byte(`{"Design":5}`), &r); err == nil {
+		t.Error("a Design outside the Figure 7 arena decoded")
 	}
 }
 
