@@ -8,13 +8,18 @@ FUZZTIME ?= 30s
 # fails). Empty, the default, uses a temp dir removed on success.
 CHAOS_DATA ?=
 
-.PHONY: build vet e2ebench-vet staticcheck test race bench bench-smoke smoke faults assert-smoke fuzz-smoke serve-smoke chaos-smoke verify
+.PHONY: build vet fmt-check e2ebench-vet staticcheck test race bench bench-smoke smoke faults assert-smoke fuzz-smoke serve-smoke chaos-smoke verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any Go
+# file in the tree (the e2ebench module included).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # The e2ebench benchmark is its own module, so build and vet above never
 # compile it. Vetting it catches a change that drops an identifier it uses;
@@ -117,4 +122,4 @@ chaos-smoke:
 	$(GO) run ./cmd/tlbchaos -clients 8 -kills 2 -specs 4 -trials 15000 -race -timeout 5m
 	$(GO) run ./cmd/tlbchaos -nodes 3 -clients 6 -kills 2 -specs 3 -trials 30000 -lease-ttl 1s -min-handoffs 1 -race -timeout 8m $(if $(CHAOS_DATA),-data $(CHAOS_DATA))
 
-verify: build vet e2ebench-vet staticcheck race faults assert-smoke fuzz-smoke bench-smoke serve-smoke chaos-smoke
+verify: build vet fmt-check e2ebench-vet staticcheck race faults assert-smoke fuzz-smoke bench-smoke serve-smoke chaos-smoke

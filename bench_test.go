@@ -9,6 +9,7 @@
 package securetlb
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"securetlb/internal/design"
 	"securetlb/internal/model"
 	"securetlb/internal/perf"
+	"securetlb/internal/pool"
 	"securetlb/internal/secbench"
 	"securetlb/internal/tlb"
 	"securetlb/internal/workload"
@@ -71,13 +73,25 @@ func benchTable4(b *testing.B, d secbench.Design, trials, wantDefended int, disa
 	runTable4(b, cfg, wantDefended)
 }
 
+// runCampaign runs cfg's campaign over vulns the way cmd/secbench does,
+// through RunCampaign on a pool of par workers (0 = all CPUs), and fails on
+// any error or quarantined trial.
+func runCampaign(b *testing.B, cfg secbench.Config, vulns []model.Vulnerability, par int) []secbench.Result {
+	rep, err := cfg.RunCampaign(context.Background(), vulns, secbench.RunOptions{Parallelism: par})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(rep.Quarantined); n != 0 {
+		b.Fatalf("%d trials quarantined, first: %+v", n, rep.Quarantined[0])
+	}
+	return rep.Results
+}
+
+// runTable4 times the one-worker Table 4 campaign.
 func runTable4(b *testing.B, cfg secbench.Config, wantDefended int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := cfg.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runCampaign(b, cfg, model.Enumerate(), 1)
 		if n := secbench.DefendedCount(results); n != wantDefended {
 			b.Fatalf("defended %d, want %d", n, wantDefended)
 		}
@@ -130,8 +144,8 @@ func BenchmarkTable4SecurityEvalFSFullExec(b *testing.B) {
 // campaign (the full Table 4 sweep cmd/secbench runs: all 24 vulnerabilities
 // against the SA, SP and RF designs at 120 trials/behaviour): identical work
 // and identical results, differing only in whether trials replay captured
-// traces or decode and execute every instruction. The defended counts are
-// the Table 4 bottom line (10 + 14 + 24).
+// traces or decode and execute every instruction. Each campaign runs on one
+// worker. The defended counts are the Table 4 bottom line (10 + 14 + 24).
 func benchCampaign(b *testing.B, disableTrace bool) {
 	designs := []secbench.Design{secbench.DesignSA, secbench.DesignSP, secbench.DesignRF}
 	b.ResetTimer()
@@ -141,10 +155,7 @@ func benchCampaign(b *testing.B, disableTrace bool) {
 			cfg := secbench.DefaultConfig(d)
 			cfg.Trials = 120
 			cfg.DisableTrace = disableTrace
-			results, err := cfg.RunAll()
-			if err != nil {
-				b.Fatal(err)
-			}
+			results := runCampaign(b, cfg, model.Enumerate(), 1)
 			defended += secbench.DefendedCount(results)
 		}
 		if defended != 10+14+24 {
@@ -174,10 +185,15 @@ func BenchmarkTable4Theory(b *testing.B) {
 
 // --- Figures 7a-7f: IPC and MPKI sweeps ----------------------------------------
 
+// figure7 runs one design's sweep on a one-worker pool.
+func figure7(d perf.Design, secure bool, decrypts int, seed uint64) ([]perf.Row, error) {
+	return perf.Figure7Pool(context.Background(), d, secure, decrypts, seed, pool.New(1), nil)
+}
+
 func benchFigure7(b *testing.B, d perf.Design, secure bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := perf.Figure7(d, secure, 3, uint64(i+1))
+		rows, err := figure7(d, secure, 3, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +219,7 @@ func benchFigure7Sweep(b *testing.B, disableTrace bool) {
 	for i := 0; i < b.N; i++ {
 		var rows int
 		for _, d := range []perf.Design{perf.SA, perf.SP, perf.RF} {
-			rs, err := perf.Figure7(d, true, 3, 7)
+			rs, err := figure7(d, true, 3, 7)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -435,54 +451,36 @@ func BenchmarkAblationCoalescedSPReach(b *testing.B) {
 
 // --- Trial-sharded parallel runner --------------------------------------------
 
-// The Serial/Parallel pairs below measure the campaign engine both ways on
-// identical configurations; compare them with benchstat (or by eye) to see
-// the trial-sharding speedup on this machine. The RF design is the
-// interesting one: its randomised trials dominate the full sweep's runtime.
+// The Serial/Parallel pairs below measure the campaign driver at one worker
+// and at all CPUs on identical configurations; compare them with benchstat
+// (or by eye) to see the trial-sharding speedup on this machine. The RF
+// design is the interesting one: its randomised trials dominate the full
+// sweep's runtime.
 
-func benchRunVulnerability(b *testing.B, parallel bool) {
+func benchRunVulnerability(b *testing.B, par int) {
 	cfg := secbench.DefaultConfig(secbench.DesignRF)
 	cfg.Trials = 250
-	v := model.Enumerate()[11]
+	vulns := model.Enumerate()[11:12]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if parallel {
-			_, err = cfg.RunVulnerabilityParallel(v, 0)
-		} else {
-			_, err = cfg.RunVulnerability(v)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		runCampaign(b, cfg, vulns, par)
 	}
 }
 
-func BenchmarkRunVulnerabilitySerial(b *testing.B)   { benchRunVulnerability(b, false) }
-func BenchmarkRunVulnerabilityParallel(b *testing.B) { benchRunVulnerability(b, true) }
+func BenchmarkRunVulnerabilitySerial(b *testing.B)   { benchRunVulnerability(b, 1) }
+func BenchmarkRunVulnerabilityParallel(b *testing.B) { benchRunVulnerability(b, 0) }
 
-func benchRunAll(b *testing.B, parallel bool) {
+func benchRunAll(b *testing.B, par int) {
 	cfg := secbench.DefaultConfig(secbench.DesignRF)
 	cfg.Trials = 120
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var (
-			results []secbench.Result
-			err     error
-		)
-		if parallel {
-			results, err = cfg.RunAllParallel(0)
-		} else {
-			results, err = cfg.RunAll()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := runCampaign(b, cfg, model.Enumerate(), par)
 		if n := secbench.DefendedCount(results); n != 24 {
 			b.Fatalf("defended %d, want 24", n)
 		}
 	}
 }
 
-func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, false) }
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, true) }
+func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1) }
+func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }

@@ -5,6 +5,7 @@ package main
 // rendering the matrix. main.go only parses flags and applies the verdict.
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -93,7 +94,8 @@ func runMachineSites(mc matrixConfig, machine []faultinject.Site, vulns []model.
 	specs := buildSpecs(machine, mc.Designs, vulns)
 	cells := make([]secbench.FaultCell, len(specs))
 	errs := make([]error, len(specs))
-	pool.New(mc.Parallel).ForEach(len(specs), func(i int) {
+	// The matrix never cancels, so ForEachCtx runs every cell.
+	_ = pool.New(mc.Parallel).ForEachCtx(context.Background(), len(specs), func(i int) {
 		cfg := secbench.DefaultConfig(specs[i].design)
 		cfg.Trials = mc.Trials
 		cfg.Invariants = true

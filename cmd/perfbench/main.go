@@ -63,6 +63,7 @@ func main() {
 		}
 	}
 
+	p := pool.New(*parallel)
 	runCounts := []int{*decrypts}
 	if *sweep {
 		runCounts = []int{50, 100, 150}
@@ -74,7 +75,7 @@ func main() {
 		for _, d := range designs {
 			for _, secure := range []bool{false, true} {
 				for _, n := range runCounts {
-					rows, err := perf.Figure7Ctx(ctx, d, secure, n, *seed, *parallel, ck)
+					rows, err := perf.Figure7Pool(ctx, d, secure, n, *seed, p, ck)
 					all = append(all, rows...)
 					if err != nil {
 						if !isInterrupt(err) {
@@ -99,8 +100,8 @@ sweepLoop:
 	for _, d := range designs {
 		for _, secure := range []bool{false, true} {
 			for _, decrypts := range runCounts {
-				fmt.Print(perf.SweepHeader(d, secure, decrypts, pool.Workers(*parallel)))
-				rows, err := perf.Figure7Ctx(ctx, d, secure, decrypts, *seed, *parallel, ck)
+				fmt.Print(perf.SweepHeader(d, secure, decrypts, p.Size()))
+				rows, err := perf.Figure7Pool(ctx, d, secure, decrypts, *seed, p, ck)
 				if err != nil && !isInterrupt(err) {
 					fatal(err)
 				}

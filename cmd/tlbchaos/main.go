@@ -96,17 +96,17 @@ func main() {
 }
 
 type chaosConfig struct {
-	clients  int
-	kills    int
-	seed     uint64
-	specs    int
-	trials   int
-	parallel int
-	retries  int
-	daemon   string
-	race     bool
-	inject   string
-	timeout  time.Duration
+	clients     int
+	kills       int
+	seed        uint64
+	specs       int
+	trials      int
+	parallel    int
+	retries     int
+	daemon      string
+	race        bool
+	inject      string
+	timeout     time.Duration
 	nodes       int
 	leaseTTL    time.Duration
 	minHandoffs int

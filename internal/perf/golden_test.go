@@ -41,10 +41,7 @@ func TestFigure7Golden(t *testing.T) {
 	var b strings.Builder
 	for _, d := range goldenDesigns {
 		for _, secure := range []bool{false, true} {
-			rows, err := Figure7Parallel(d, secure, decrypts, seed, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows := figure7(t, d, secure, decrypts, seed, 0)
 			b.WriteString(SweepHeader(d, secure, decrypts, workers))
 			b.WriteString(FormatRows(rows))
 		}

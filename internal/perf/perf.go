@@ -321,22 +321,6 @@ func Cell(d Design, g Geometry, spec workload.Generator, secure bool, decrypts i
 	return row, nil
 }
 
-// Figure7 regenerates the full sweep for one design: all geometries × {RSA
-// alone, RSA with each SPEC stand-in}. The 1E configuration only exists for
-// SA (the paper lists it once, as the no-TLB approximation), and SP cannot
-// be built with fewer than two ways.
-func Figure7(d Design, secure bool, decrypts int, seed uint64) ([]Row, error) {
-	var rows []Row
-	for _, c := range cellSpecs(d) {
-		row, err := Cell(d, c.g, c.spec, secure, decrypts, seed)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // Aggregate averages a metric over rows matching a predicate; it returns
 // false when nothing matched.
 func Aggregate(rows []Row, pred func(Row) bool, metric func(Metrics) float64) (float64, bool) {
@@ -351,14 +335,6 @@ func Aggregate(rows []Row, pred func(Row) bool, metric func(Metrics) float64) (f
 		return 0, false
 	}
 	return sum / float64(n), true
-}
-
-// Figure7Parallel runs the Figure 7 sweep with independent cells in
-// parallel (each cell has its own TLB and generators), bounded by
-// parallelism (0 = GOMAXPROCS). Row order and contents are identical to
-// Figure7.
-func Figure7Parallel(d Design, secure bool, decrypts int, seed uint64, parallelism int) ([]Row, error) {
-	return Figure7Ctx(context.Background(), d, secure, decrypts, seed, parallelism, nil)
 }
 
 // cellSpec identifies one Figure 7 cell of a design's sweep.
@@ -401,22 +377,21 @@ func SweepFingerprint(seed uint64) string {
 	return fmt.Sprintf("perf/v1|seed=%#x", seed)
 }
 
-// Figure7Ctx is Figure7Parallel with the resilience layer: cancellation
-// stops admitting new cells and drains the started ones, a panicking cell
-// surfaces as a *pool.PanicError instead of crashing the sweep, and a
-// non-nil checkpoint is consulted before and fed after every cell.
+// Figure7Pool regenerates the full Figure 7 sweep for one design on the
+// worker pool p: all geometries × {RSA alone, RSA with each SPEC stand-in}.
+// The 1E configuration only exists for SA (the paper lists it once, as the
+// no-TLB approximation), and SP cannot be built with fewer than two ways.
+// Independent cells (each has its own TLB and generators) run concurrently;
+// rows come back in sweep order, identical at every pool size. Taking the
+// pool from the caller lets a long-lived server bound the leaf concurrency
+// of many concurrent sweeps together instead of per sweep.
 //
-// On a clean run the rows are identical to Figure7, in the same order. On
-// cancellation the completed rows (still in sweep order, the incomplete
-// ones compacted away) are returned together with the context error; the
-// checkpoint, if any, already holds them for a later resume.
-func Figure7Ctx(ctx context.Context, d Design, secure bool, decrypts int, seed uint64, parallelism int, ck *checkpoint.File) ([]Row, error) {
-	return Figure7Pool(ctx, d, secure, decrypts, seed, pool.New(parallelism), ck)
-}
-
-// Figure7Pool is Figure7Ctx executing on a caller-supplied worker pool, so
-// a long-lived server can bound the leaf concurrency of many concurrent
-// sweeps together instead of per sweep.
+// Cancellation stops admitting new cells and drains the started ones, a
+// panicking cell surfaces as a *pool.PanicError instead of crashing the
+// sweep, and a non-nil checkpoint is consulted before and fed after every
+// cell. On cancellation the completed rows (still in sweep order, the
+// incomplete ones compacted away) are returned together with the context
+// error; the checkpoint, if any, already holds them for a later resume.
 func Figure7Pool(ctx context.Context, d Design, secure bool, decrypts int, seed uint64, p *pool.Pool, ck *checkpoint.File) ([]Row, error) {
 	cells := cellSpecs(d)
 	rows := make([]Row, len(cells))

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"securetlb/internal/checkpoint"
+	"securetlb/internal/pool"
 	"securetlb/internal/tlb"
 	"securetlb/internal/workload"
 )
@@ -25,6 +26,17 @@ func cellMPKI(t *testing.T, d Design, g Geometry, spec workload.Generator, secur
 		t.Fatalf("Cell(%s,%s): %v", d, g.Label, err)
 	}
 	return row.Metrics
+}
+
+// figure7 runs one design's sweep through Figure7Pool on a fresh pool of the
+// given size (0 = all CPUs), with a live context and no checkpoint.
+func figure7(t *testing.T, d Design, secure bool, decrypts int, seed uint64, workers int) []Row {
+	t.Helper()
+	rows, err := Figure7Pool(context.Background(), d, secure, decrypts, seed, pool.New(workers), nil)
+	if err != nil {
+		t.Fatalf("Figure7Pool(%s): %v", d, err)
+	}
+	return rows
 }
 
 func geom(t *testing.T, label string) Geometry {
@@ -214,18 +226,12 @@ func TestBuildTLBErrors(t *testing.T) {
 }
 
 func TestFigure7RowCount(t *testing.T) {
-	rows, err := Figure7(SA, false, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := figure7(t, SA, false, 2, 5, 0)
 	// 7 geometries x (RSA + 4 co-runs).
 	if len(rows) != 35 {
 		t.Errorf("SA rows = %d, want 35", len(rows))
 	}
-	rows, err = Figure7(SP, true, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = figure7(t, SP, true, 2, 5, 0)
 	// SP skips 1E.
 	if len(rows) != 30 {
 		t.Errorf("SP rows = %d, want 30", len(rows))
@@ -281,15 +287,11 @@ func TestRowJSONKeepsArenaIndex(t *testing.T) {
 	}
 }
 
+// TestFigure7ParallelMatchesSerial: the sweep on a four-worker pool is
+// bit-identical, row for row and in order, to the one-worker reference.
 func TestFigure7ParallelMatchesSerial(t *testing.T) {
-	serial, err := Figure7(SA, false, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure7Parallel(SA, false, 2, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := figure7(t, SA, false, 2, 9, 1)
+	parallel := figure7(t, SA, false, 2, 9, 4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("lengths: %d vs %d", len(serial), len(parallel))
 	}
@@ -330,28 +332,12 @@ func (testErr) Error() string { return "injected fault" }
 
 var errTest = testErr{}
 
-// TestFigure7CtxMatchesSerial: the resilient sweep with no checkpoint and a
-// live context is bit-identical to the serial reference.
-func TestFigure7CtxMatchesSerial(t *testing.T) {
-	serial, err := Figure7(SA, false, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Figure7Ctx(context.Background(), SA, false, 2, 9, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, serial) {
-		t.Error("Figure7Ctx differs from Figure7")
-	}
-}
-
 // TestFigure7CtxCancelledBeforeStart: a pre-cancelled context admits no
 // cells and returns the typed context error.
 func TestFigure7CtxCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := Figure7Ctx(ctx, SA, false, 2, 9, 2, nil)
+	rows, err := Figure7Pool(ctx, SA, false, 2, 9, pool.New(2), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -365,10 +351,7 @@ func TestFigure7CtxCancelledBeforeStart(t *testing.T) {
 // bit-identical to an uninterrupted run, and a fully-populated checkpoint
 // satisfies the whole sweep without executing a single cell.
 func TestFigure7CtxCheckpointResume(t *testing.T) {
-	want, err := Figure7(SA, false, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := figure7(t, SA, false, 2, 9, 1)
 	path := filepath.Join(t.TempDir(), "fig7.json")
 	fp := SweepFingerprint(9)
 
@@ -387,7 +370,7 @@ func TestFigure7CtxCheckpointResume(t *testing.T) {
 		}
 		cancel()
 	}()
-	partial, err := Figure7Ctx(ctx, SA, false, 2, 9, 2, ck1)
+	partial, err := Figure7Pool(ctx, SA, false, 2, 9, pool.New(2), ck1)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
@@ -407,7 +390,7 @@ func TestFigure7CtxCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Figure7Ctx(context.Background(), SA, false, 2, 9, 2, ck2)
+	got, err := Figure7Pool(context.Background(), SA, false, 2, 9, pool.New(2), ck2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +406,7 @@ func TestFigure7CtxCheckpointResume(t *testing.T) {
 	}
 	dead, cancel3 := context.WithCancel(context.Background())
 	cancel3()
-	cached, err := Figure7Ctx(dead, SA, false, 2, 9, 2, ck3)
+	cached, err := Figure7Pool(dead, SA, false, 2, 9, pool.New(2), ck3)
 	if err != nil {
 		t.Fatal(err)
 	}

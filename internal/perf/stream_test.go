@@ -1,11 +1,13 @@
 package perf
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"securetlb/internal/design"
+	"securetlb/internal/pool"
 	"securetlb/internal/tlb"
 	"securetlb/internal/workload"
 )
@@ -198,15 +200,12 @@ func TestFigure7TraceToggle(t *testing.T) {
 	for _, d := range design.Perf.Designs() {
 		t.Run(d.Entry().Name, func(t *testing.T) {
 			DisableTrace = true
-			full, err := Figure7(d, true, 2, 11)
+			full, err := Figure7Pool(context.Background(), d, true, 2, 11, pool.New(0), nil)
 			DisableTrace = false
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := Figure7(d, true, 2, 11)
-			if err != nil {
-				t.Fatal(err)
-			}
+			replayed := figure7(t, d, true, 2, 11, 0)
 			if !reflect.DeepEqual(full, replayed) {
 				t.Errorf("Figure 7 rows diverge between full execution and stream replay")
 			}

@@ -9,11 +9,11 @@
 // len(vulns) goroutines each running 1,000 serial trials — or, worse, an
 // unbounded goroutine per cell.
 //
-// The pool is a semaphore, not a task queue: Run executes the function on
-// the calling goroutine once a slot is free, and Go spawns a goroutine that
-// does the same. Because slots are held only while a leaf function runs
-// (orchestrating goroutines never hold a slot while waiting on children),
-// nested fan-out cannot deadlock.
+// The pool is a semaphore, not a task queue: RunCtx executes the function on
+// the calling goroutine once a slot is free, and ForEachCtx spawns one
+// goroutine per index that does the same. Because slots are held only while
+// a leaf function runs (orchestrating goroutines never hold a slot while
+// waiting on children), nested fan-out cannot deadlock.
 package pool
 
 import (
@@ -56,21 +56,13 @@ func (p *Pool) Size() int { return cap(p.sem) }
 // the caller acts on the value, workers may have started or finished.
 func (p *Pool) InFlight() int { return len(p.sem) }
 
-// Run executes fn on the calling goroutine once a worker slot is free, and
-// releases the slot when fn returns. fn must not call Run or Go and wait for
-// the result while holding the slot (leaf work only); orchestration code
-// calls Run directly and fans out with Go.
-func (p *Pool) Run(fn func()) {
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
-	fn()
-}
-
-// RunCtx is Run with cancellation: it waits for a worker slot only as long
-// as ctx is live. When the context is cancelled before a slot frees up, fn is
+// RunCtx executes fn on the calling goroutine once a worker slot is free, and
+// releases the slot when fn returns. It waits for the slot only as long as
+// ctx is live: when the context is cancelled before a slot frees up, fn is
 // NOT executed and the context's error is returned; once fn has started it
 // always runs to completion (cancellation stops admission, never preempts).
-// A nil return means fn ran.
+// A nil return means fn ran. fn must not wait on other pool work while
+// holding the slot (leaf work only).
 func (p *Pool) RunCtx(ctx context.Context, fn func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -85,54 +77,23 @@ func (p *Pool) RunCtx(ctx context.Context, fn func()) error {
 	return nil
 }
 
-// Go spawns a goroutine that executes fn under Run, tracked by wg.
-func (p *Pool) Go(wg *sync.WaitGroup, fn func()) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.Run(fn)
-	}()
-}
-
-// GoCtx spawns a goroutine that executes fn under RunCtx, tracked by wg. If
-// the context is cancelled before a slot frees up the function is silently
-// skipped; callers that must distinguish "ran" from "skipped" should use
-// ForEachCtx (which reports the cancellation) or record completion in fn.
-func (p *Pool) GoCtx(ctx context.Context, wg *sync.WaitGroup, fn func()) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = p.RunCtx(ctx, fn)
-	}()
-}
-
-// ForEach runs fn(i) for i in [0, n) with the pool's concurrency bound and
-// waits for all of them. Each invocation occupies one worker slot; the
+// ForEachCtx runs fn(i) for i in [0, n) with the pool's concurrency bound
+// and waits for all of them. Each invocation occupies one worker slot; the
 // iteration order across workers is unspecified, so fn must write only to
-// its own index's state.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		p.Go(&wg, func() { fn(i) })
-	}
-	wg.Wait()
-}
-
-// ForEachCtx is ForEach with cancellation: it stops admitting new
-// iterations once ctx is cancelled, waits for every iteration already
-// started to drain, and returns the context's error. A nil return guarantees
-// fn(i) ran for every i in [0, n); a non-nil return means at least the
-// iterations not yet started were skipped, so partial per-index results must
-// be discarded (or re-derived) by the caller.
+// its own index's state. Once ctx is cancelled it stops admitting new
+// iterations, waits for every iteration already started to drain, and
+// returns the context's error. A nil return guarantees fn(i) ran for every
+// i in [0, n); a non-nil return means at least the iterations not yet
+// started were skipped, so partial per-index results must be discarded (or
+// re-derived) by the caller.
 func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		i := i
-		p.GoCtx(ctx, &wg, func() { fn(i) })
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = p.RunCtx(ctx, func() { fn(i) }) // a skipped fn shows in ctx.Err
+		}()
 	}
 	wg.Wait()
 	return ctx.Err()

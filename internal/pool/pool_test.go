@@ -33,10 +33,14 @@ func TestInFlightTracksOccupiedSlots(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
-	p.Go(&wg, func() {
-		close(started)
-		<-release
-	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = p.RunCtx(context.Background(), func() {
+			close(started)
+			<-release
+		})
+	}()
 	<-started
 	if got := p.InFlight(); got != 1 {
 		t.Errorf("InFlight with one running worker = %d, want 1", got)
@@ -52,7 +56,9 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	p := New(3)
 	const n = 100
 	counts := make([]int32, n)
-	p.ForEach(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+	if err := p.ForEachCtx(context.Background(), n, func(i int) { atomic.AddInt32(&counts[i], 1) }); err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
@@ -63,7 +69,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 func TestConcurrencyBound(t *testing.T) {
 	p := New(2)
 	var cur, peak int32
-	p.ForEach(20, func(int) {
+	_ = p.ForEachCtx(context.Background(), 20, func(int) {
 		n := atomic.AddInt32(&cur, 1)
 		for {
 			old := atomic.LoadInt32(&peak)
@@ -89,7 +95,7 @@ func TestNestedFanOutDoesNotDeadlock(t *testing.T) {
 		outer.Add(1)
 		go func() {
 			defer outer.Done()
-			p.ForEach(5, func(int) { atomic.AddInt32(&total, 1) })
+			_ = p.ForEachCtx(context.Background(), 5, func(int) { atomic.AddInt32(&total, 1) })
 		}()
 	}
 	outer.Wait()
@@ -102,7 +108,11 @@ func TestRunCtxCancelledBeforeSlot(t *testing.T) {
 	p := New(1)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
-	p.Go(&wg, func() { <-release }) // occupy the only slot
+	wg.Add(1)
+	go func() { // occupy the only slot
+		defer wg.Done()
+		_ = p.RunCtx(context.Background(), func() { <-release })
+	}()
 	for {
 		// Wait until the slot is actually held.
 		if len(p.sem) == 1 {

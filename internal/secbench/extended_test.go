@@ -56,10 +56,7 @@ func TestExtendedSAAgreesWithOracle(t *testing.T) {
 	// The empirical extended campaign on the deterministic SA TLB must
 	// agree, row for row, with the design-aware symbolic oracle.
 	cfg := testConfig(DesignSA, 6)
-	results, err := cfg.RunAllExtended()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runVulns(t, cfg, model.EnumerateExtended(), 0)
 	for _, r := range results {
 		oracleVulnerable := model.ObservationInformative(
 			r.Vulnerability.Pattern, model.DesignASID, r.Vulnerability.Observation)
@@ -72,10 +69,7 @@ func TestExtendedSAAgreesWithOracle(t *testing.T) {
 
 func TestExtendedSPAgreesWithOracle(t *testing.T) {
 	cfg := testConfig(DesignSP, 6)
-	results, err := cfg.RunAllExtended()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runVulns(t, cfg, model.EnumerateExtended(), 0)
 	for _, r := range results {
 		oracleVulnerable := model.ObservationInformative(
 			r.Vulnerability.Pattern, model.DesignPartitioned, r.Vulnerability.Observation)
@@ -94,10 +88,7 @@ func TestExtendedDefenseCounts(t *testing.T) {
 	counts := map[Design]int{}
 	for _, d := range []Design{DesignSA, DesignSP} {
 		cfg := testConfig(d, 6)
-		results, err := cfg.RunAllExtended()
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := runVulns(t, cfg, model.EnumerateExtended(), 0)
 		counts[d] = DefendedCount(results)
 	}
 	if counts[DesignSA] != 8 {
@@ -116,10 +107,7 @@ func TestExtendedRFPartialDefense(t *testing.T) {
 	// Invalidation on a, ...). This matches the paper's scoping — Appendix B
 	// treats these as future-ISA concerns outside the designs' threat model.
 	cfg := testConfig(DesignRF, 150)
-	results, err := cfg.RunAllExtended()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runVulns(t, cfg, model.EnumerateExtended(), 0)
 	defended := DefendedCount(results)
 	if defended < 40 || defended >= len(results) {
 		t.Errorf("RF defends %d/%d extended types; expected partial defense (~46)", defended, len(results))
@@ -160,10 +148,7 @@ func TestInvalidationTimingDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("Flush+Flush row missing")
 	}
-	r, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, cfg, v, 0)
 	// mapped (u == a): the victim's u fill IS a's entry -> present -> slow.
 	if r.Counts.MappedMisses != cfg.Trials {
 		t.Errorf("mapped slow observations = %d/%d, want all (entry present)",
@@ -184,10 +169,7 @@ func TestBaseCampaignUnchangedByExtension(t *testing.T) {
 		want int
 	}{{DesignSA, 10}, {DesignSP, 14}} {
 		cfg := testConfig(tc.d, 6)
-		results, err := cfg.RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := runVulns(t, cfg, model.Enumerate(), 0)
 		if n := DefendedCount(results); n != tc.want {
 			t.Errorf("%s defends %d/24, want %d", tc.d, n, tc.want)
 		}
@@ -201,10 +183,7 @@ func TestCampaignSurvivesRFRandomFillFaults(t *testing.T) {
 	// full campaigns complete for every secure-region size in use — a
 	// missing mapping would surface as a page-fault error here.
 	for _, d := range []Design{DesignRF} {
-		cfg := testConfig(d, 10)
-		if _, err := cfg.RunAll(); err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
+		runVulns(t, testConfig(d, 10), model.Enumerate(), 0)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"securetlb/internal/design"
 	"securetlb/internal/faultinject"
 	"securetlb/internal/model"
-	"securetlb/internal/pool"
 )
 
 // DesignsForSite returns the designs a machine fault site applies to: the
@@ -117,10 +116,10 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 		trials = c.Trials
 	}
 	cell := FaultCell{
-		Site:     site,
-		Design:   c.Design.String(),
-		Vuln:     v.String(),
-		Mapped:   mapped,
+		Site:       site,
+		Design:     c.Design.String(),
+		Vuln:       v.String(),
+		Mapped:     mapped,
 		Trials:     trials,
 		Detected:   map[string]int{},
 		Assertions: map[string]int{},
@@ -135,8 +134,11 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 		return cell, err
 	}
 	ref := make([]bool, trials)
+	fuel := clean.fuel()
 	for trial := 0; trial < trials; trial++ {
-		miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel())
+		// Every earlier trial on cp completed (a failure returns), so all but
+		// the first may replay only the trace body.
+		miss, err := cp.runTrial(trialSeedFor(c.BaseSeed, trial, mapped), fuel, trial > 0)
 		if err != nil {
 			return cell, fmt.Errorf("clean reference trial %d: %w", trial, err)
 		}
@@ -151,26 +153,20 @@ func (c Config) RunFaultCell(v model.Vulnerability, mapped bool, site faultinjec
 		return cell, err
 	}
 	for trial := 0; trial < trials; trial++ {
-		inj := faultinject.New(site, faulted.faultSeed(trial, mapped))
-		if err := inj.Arm(assert.Unwrap(fp.machine.TLB), fp.machine.PT, fp.machine.Mem); err != nil {
-			return cell, err
-		}
 		var miss bool
-		err := pool.Safely(func() error {
+		inj, kind, err := fp.guardedTrial(site, faultSeedFor(c.FaultSeed, trial, mapped), func() error {
 			var terr error
-			miss, terr = fp.runTrial(faulted.trialSeed(trial, mapped), faulted.fuel())
+			miss, terr = fp.runTrial(trialSeedFor(c.BaseSeed, trial, mapped), fuel, false)
 			return terr
 		})
-		inj.Disarm()
+		if err != nil && kind == "" {
+			return cell, fmt.Errorf("faulted trial %d: infrastructure error: %w", trial, err)
+		}
 		if cell.Detail == "" && inj.Fired() {
 			cell.Detail = inj.Detail()
 		}
 		switch {
 		case err != nil:
-			kind, ok := classifyTrialErr(err)
-			if !ok {
-				return cell, fmt.Errorf("faulted trial %d: infrastructure error: %w", trial, err)
-			}
 			cell.Detected[kind]++
 			var av *assert.Violation
 			if errors.As(err, &av) {

@@ -169,7 +169,7 @@ func TestCampaignWithFaultsQuarantines(t *testing.T) {
 		}
 		misses := 0
 		for trial := 0; trial < cfg.Trials; trial++ {
-			miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel())
+			miss, err := cp.runTrial(clean.trialSeed(trial, mapped), clean.fuel(), false)
 			if err != nil {
 				t.Fatalf("clean trial %d: %v", trial, err)
 			}
@@ -197,14 +197,8 @@ func TestInvariantsCleanCampaign(t *testing.T) {
 		cfg.Trials = 24
 		checked := cfg
 		checked.Invariants = true
-		base, err := cfg.RunVulnerability(v)
-		if err != nil {
-			t.Fatalf("%s unchecked: %v", d, err)
-		}
-		got, err := checked.RunVulnerability(v)
-		if err != nil {
-			t.Fatalf("%s checked: %v", d, err)
-		}
+		base := runOne(t, cfg, v, 0)
+		got := runOne(t, checked, v, 0)
 		if base.Counts != got.Counts {
 			t.Errorf("%s: invariant checking changed the statistics: %+v vs %+v", d, base.Counts, got.Counts)
 		}
@@ -275,10 +269,7 @@ func TestInvariantsDisableTraceBitIdentity(t *testing.T) {
 				cfg.Trials = 12
 				cfg.Invariants = inv
 				cfg.DisableTrace = noTrace
-				res, err := cfg.RunVulnerability(v)
-				if err != nil {
-					t.Fatalf("%s inv=%v noTrace=%v: %v", d, inv, noTrace, err)
-				}
+				res := runOne(t, cfg, v, 0)
 				if ref == nil {
 					r := res
 					ref = &r

@@ -1,15 +1,16 @@
 package secbench
 
-// This file is the resilient execution layer over the trial-sharded runner:
-// context-aware campaigns that stop admitting work on cancellation and drain
-// cleanly, a per-trial fuel watchdog, panic quarantine that lets a campaign
-// survive a single bad trial, and checkpoint/resume keyed by the assembled
-// program's cache identity plus the trial range.
+// This file is the campaign driver, RunCampaign: every vulnerability's trials
+// sharded over one bounded worker pool, with context-aware campaigns that
+// stop admitting work on cancellation and drain cleanly, a per-trial fuel
+// watchdog, panic quarantine that lets a campaign survive a single bad trial,
+// and checkpoint/resume keyed by the assembled program's cache identity plus
+// the trial range.
 //
 // The determinism contract extends the one in runner.go: because every
 // trial's seed is derived from its index alone (trialSeed), excluding a
 // quarantined trial changes nothing about the other trials, so the
-// statistics over the surviving trials are bit-identical to a serial run
+// statistics over the surviving trials are bit-identical to a one-worker run
 // over exactly those trial indices. Counts denominators are survivor
 // counts, keeping the empirical probabilities well-defined under exclusion.
 
@@ -19,10 +20,10 @@ import (
 	"fmt"
 	"sync"
 
+	"securetlb/internal/assert"
 	"securetlb/internal/checkpoint"
 	"securetlb/internal/cpu"
 	"securetlb/internal/faultinject"
-	"securetlb/internal/assert"
 	"securetlb/internal/model"
 	"securetlb/internal/pool"
 )
@@ -113,47 +114,64 @@ func (c Config) Fingerprint(extended bool) string {
 		c.Params, c.MemLatency, c.fuel(), extended, c.Invariants, c.FaultSite, c.FaultSeed)
 }
 
-// runTrialsResilient executes trials [lo, hi) of one behaviour, quarantining
-// per-trial failures and counting misses and survivors. It returns early
-// with the context error on cancellation (the partial unit is discarded by
-// the caller) and with the original error on infrastructure failure.
-func (c Config) runTrialsResilient(ctx context.Context, cp *campaign, v model.Vulnerability, mapped bool, lo, hi int) (unitCounts, error) {
+// guardedTrial runs one trial on cp through the campaign's safety net: a
+// non-empty fault site is armed on cp's machine beneath any invariant checker
+// (the detector must observe the fault, not intercept its injection), run
+// executes under pool.Safely so a panic becomes an error, and the injector is
+// disarmed afterwards. A failed trial's error comes back with its quarantine
+// kind; kind "" marks an infrastructure failure (an arming error, or an
+// error no trial can cause) that must abort the campaign rather than
+// silently shrink its sample. inj is the armed injector, nil without a site.
+func (cp *campaign) guardedTrial(site faultinject.Site, faultSeed uint64, run func() error) (inj *faultinject.Injector, kind string, err error) {
+	if site != "" {
+		inj = faultinject.New(site, faultSeed)
+		if err := inj.Arm(assert.Unwrap(cp.machine.TLB), cp.machine.PT, cp.machine.Mem); err != nil {
+			return nil, "", err
+		}
+		defer inj.Disarm()
+	}
+	if err = pool.Safely(run); err != nil {
+		kind, _ = classifyTrialErr(err)
+	}
+	return inj, kind, err
+}
+
+// runTrials is the campaign's one trial loop: trials [lo, hi) of one
+// behaviour on cp, each under guardedTrial, quarantining per-trial failures
+// and counting misses and survivors. It returns early with the context error
+// on cancellation (the partial unit is discarded by the caller) and with the
+// original error on infrastructure failure.
+//
+// A replay campaign replays the whole trace on the shard's first trial and
+// on the trial after any failed one (a failure can stop the VM anywhere,
+// even inside the prefix), and only the trace body otherwise.
+func (c Config) runTrials(ctx context.Context, cp *campaign, v model.Vulnerability, mapped bool, lo, hi int) (unitCounts, error) {
 	var u unitCounts
+	// Trial-invariant values hoisted out of the loop, so no trial copies the
+	// Config.
+	base, fuel, inject := c.BaseSeed, c.fuel(), c.Inject
+	site, faultBase := c.FaultSite, c.FaultSeed
+	primed := false // cp's VM completed the previous trial
 	for trial := lo; trial < hi; trial++ {
 		if err := ctx.Err(); err != nil {
 			return u, err
 		}
-		seed := c.trialSeed(trial, mapped)
-		trial := trial
-		// Arm the configured hardware-fault site on this trial's machine,
-		// underneath any invariant checker (the detector must observe the
-		// fault, not intercept its injection). An arming failure is an
-		// infrastructure error: the campaign was misconfigured, not the trial.
-		var inj *faultinject.Injector
-		if c.FaultSite != "" {
-			inj = faultinject.New(c.FaultSite, c.faultSeed(trial, mapped))
-			if aerr := inj.Arm(assert.Unwrap(cp.machine.TLB), cp.machine.PT, cp.machine.Mem); aerr != nil {
-				return u, fmt.Errorf("%s (mapped=%v, trial %d): %w", v, mapped, trial, aerr)
-			}
-		}
+		seed := trialSeedFor(base, trial, mapped)
 		var miss bool
-		err := pool.Safely(func() error {
-			fuel := c.fuel()
-			if c.Inject != nil {
-				if f := c.Inject(v, mapped, trial); f != 0 {
-					fuel = f
+		_, kind, err := cp.guardedTrial(site, faultSeedFor(faultBase, trial, mapped), func() error {
+			f := fuel
+			if inject != nil {
+				if g := inject(v, mapped, trial); g != 0 {
+					f = g
 				}
 			}
 			var terr error
-			miss, terr = cp.runTrial(seed, fuel)
+			miss, terr = cp.runTrial(seed, f, primed)
 			return terr
 		})
-		if inj != nil {
-			inj.Disarm()
-		}
+		primed = err == nil
 		if err != nil {
-			kind, ok := classifyTrialErr(err)
-			if !ok {
+			if kind == "" {
 				return u, fmt.Errorf("%s (mapped=%v, trial %d): %w", v, mapped, trial, err)
 			}
 			u.Quarantined = append(u.Quarantined, Quarantined{
@@ -177,14 +195,19 @@ func (c Config) runTrialsResilient(ctx context.Context, cp *campaign, v model.Vu
 	return u, nil
 }
 
-// runUnit executes one (vulnerability, behaviour) unit trial-sharded over p,
-// exactly like runVulnerabilitySharded but resilient: per-trial failures
-// land in the unit's quarantine list instead of aborting, and cancellation
-// stops admitting shards and drains the started ones.
+// runUnit executes one (vulnerability, behaviour) unit trial-sharded over p:
+// the template machine runs the first shard itself and clones (taken
+// sequentially — Clone mutates the source's copy-on-write state) serve the
+// rest. The per-trial seed contract (trialSeed) makes the split invisible in
+// the results. Per-trial failures land in the unit's quarantine list, and
+// cancellation stops admitting shards and drains the started ones.
 func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability, mapped bool) (unitCounts, error) {
 	var unit unitCounts
 	var template *campaign
 	var err error
+	// Build the template under a worker slot: assembly and page-table setup
+	// is real work, and gating it keeps a campaign's concurrency at exactly
+	// the pool bound.
 	if rerr := p.RunCtx(ctx, func() { template, err = c.newCampaign(v, mapped) }); rerr != nil {
 		return unit, rerr
 	}
@@ -204,9 +227,18 @@ func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability
 	}
 	units := make([]unitCounts, len(shards))
 	errsBy := make([]error, len(shards))
-	if ferr := p.ForEachCtx(ctx, len(shards), func(i int) {
-		units[i], errsBy[i] = c.runTrialsResilient(ctx, camps[i], v, mapped, shards[i].Lo, shards[i].Hi)
-	}); ferr != nil {
+	run := func(i int) {
+		units[i], errsBy[i] = c.runTrials(ctx, camps[i], v, mapped, shards[i].Lo, shards[i].Hi)
+	}
+	// A lone shard (a one-worker pool) runs on this goroutine: a fresh
+	// goroutine per unit would regrow its stack for every unit's trial loop.
+	var ferr error
+	if len(shards) == 1 {
+		ferr = p.RunCtx(ctx, func() { run(0) })
+	} else {
+		ferr = p.ForEachCtx(ctx, len(shards), run)
+	}
+	if ferr != nil {
 		return unit, ferr
 	}
 	// Aggregate in shard order so the quarantine list is ordered by trial
@@ -225,7 +257,8 @@ func (c Config) runUnit(ctx context.Context, p *pool.Pool, v model.Vulnerability
 	return unit, nil
 }
 
-// finalizeCtx is finalize with a cancellable bootstrap.
+// finalizeCtx derives the probability, capacity and CI columns from the
+// counts, with a cancellable bootstrap.
 func (c Config) finalizeCtx(ctx context.Context, res *Result) error {
 	res.P1, res.P2 = res.Counts.Probabilities()
 	res.C = res.Counts.Capacity()
@@ -234,13 +267,18 @@ func (c Config) finalizeCtx(ctx context.Context, res *Result) error {
 	return err
 }
 
-// runVulnerabilityResilient runs one vulnerability's two units, consulting
-// and feeding the checkpoint (nil-safe) around each.
-func (c Config) runVulnerabilityResilient(ctx context.Context, p *pool.Pool, v model.Vulnerability, ck *checkpoint.File) (Result, []Quarantined, error) {
+// runVulnerability runs one vulnerability's two units, consulting and
+// feeding the checkpoint (nil-safe) around each.
+func (c Config) runVulnerability(ctx context.Context, p *pool.Pool, v model.Vulnerability, ck *checkpoint.File) (Result, []Quarantined, error) {
 	res := Result{Vulnerability: v}
 	var quarantined []Quarantined
 	for _, mapped := range []bool{true, false} {
-		key := c.unitKey(v, mapped)
+		var key string
+		if ck != nil {
+			// Formatting the key costs as much as a short unit's trials, so
+			// runs without a checkpoint skip it.
+			key = c.unitKey(v, mapped)
+		}
 		var unit unitCounts
 		hit, err := ck.Lookup(key, &unit)
 		if err != nil {
@@ -298,7 +336,10 @@ type CampaignReport struct {
 	Quarantined []Quarantined
 }
 
-// RunCampaign executes a resilient campaign over vulns. Per-trial failures
+// RunCampaign executes the campaign over vulns: every vulnerability's
+// mapped and not-mapped trials, sharded over the worker pool. Results are
+// bit-identical at every pool size, in vulns order; at Parallelism 1 each
+// behaviour runs as one shard on the template machine. Per-trial failures
 // (panics, fuel exhaustion, faults, benchmark-signalled failures) are
 // quarantined and the campaign completes; infrastructure failures abort it.
 //
@@ -314,13 +355,13 @@ func (c Config) RunCampaign(ctx context.Context, vulns []model.Vulnerability, op
 	errs := make([]error, len(vulns))
 	var wg sync.WaitGroup
 	for i, v := range vulns {
-		i, v := i, v
 		wg.Add(1)
-		// One lightweight orchestrator per vulnerability, as in
-		// runListParallel; all real work runs under p's worker bound.
+		// One lightweight orchestrator per vulnerability; all real work
+		// (template builds, trial shards) runs under p's worker bound, so
+		// the campaign's leaf concurrency is exactly the pool size.
 		go func() {
 			defer wg.Done()
-			results[i], quars[i], errs[i] = c.runVulnerabilityResilient(ctx, p, v, ck)
+			results[i], quars[i], errs[i] = c.runVulnerability(ctx, p, v, ck)
 		}()
 	}
 	wg.Wait()
@@ -344,13 +385,14 @@ func (c Config) RunCampaign(ctx context.Context, vulns []model.Vulnerability, op
 	return report, ctxErr
 }
 
-// RunAllCtx is the resilient form of RunAllParallel: the 24 base
-// vulnerabilities in Table 2 order.
+// RunAllCtx runs the campaign for the 24 base vulnerabilities, in Table 2
+// order.
 func (c Config) RunAllCtx(ctx context.Context, opts RunOptions) (CampaignReport, error) {
 	return c.RunCampaign(ctx, model.Enumerate(), opts)
 }
 
-// RunAllExtendedCtx is the resilient form of RunAllExtendedParallel.
+// RunAllExtendedCtx runs the campaign for the additional Appendix B
+// vulnerabilities (targeted invalidation and variable-timing flushes).
 func (c Config) RunAllExtendedCtx(ctx context.Context, opts RunOptions) (CampaignReport, error) {
 	return c.RunCampaign(ctx, model.EnumerateExtended(), opts)
 }
@@ -365,7 +407,7 @@ func (c Config) ReplayTrial(v model.Vulnerability, mapped bool, trial int) (miss
 	if err != nil {
 		return false, err
 	}
-	miss, err = camp.runTrial(c.trialSeed(trial, mapped), c.fuel())
+	miss, err = camp.runTrial(c.trialSeed(trial, mapped), c.fuel(), false)
 	if err == nil {
 		camp.release()
 	}

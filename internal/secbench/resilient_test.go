@@ -16,20 +16,17 @@ import (
 )
 
 // TestResilientCleanMatchesParallel: with nothing injected and a live
-// context, the resilient runner is bit-identical to the PR-1 parallel
-// runner (and therefore to the serial reference it is tested against).
+// context, RunAllCtx on the default pool quarantines nothing and is
+// bit-identical to the one-worker reference.
 func TestResilientCleanMatchesParallel(t *testing.T) {
 	cfg := testConfig(DesignRF, 30)
-	want, err := cfg.RunAllParallel(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runVulns(t, cfg, model.Enumerate(), 1)
 	report, err := cfg.RunAllCtx(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(report.Results, want) {
-		t.Error("resilient results differ from RunAllParallel")
+		t.Error("default-pool results differ from the one-worker reference")
 	}
 	if len(report.Quarantined) != 0 {
 		t.Errorf("clean run quarantined %d trials", len(report.Quarantined))
@@ -333,10 +330,7 @@ func TestCheckpointPersistsQuarantine(t *testing.T) {
 func TestReplayTrialMatchesCampaign(t *testing.T) {
 	cfg := testConfig(DesignRF, 8)
 	v := model.Enumerate()[7]
-	res, err := cfg.RunVulnerabilityParallel(v, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOne(t, cfg, v, 4)
 	misses := 0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		miss, err := cfg.ReplayTrial(v, true, trial)

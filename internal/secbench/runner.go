@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 
 	"securetlb/internal/asm"
+	"securetlb/internal/assert"
 	"securetlb/internal/capacity"
 	"securetlb/internal/cpu"
 	"securetlb/internal/fingerprint"
-	"securetlb/internal/assert"
 	"securetlb/internal/isa"
 	"securetlb/internal/mem"
 	"securetlb/internal/model"
-	"securetlb/internal/pool"
 	"securetlb/internal/ptw"
 	"securetlb/internal/tlb"
 	"securetlb/internal/trace"
@@ -40,9 +39,9 @@ func (r Result) Defended() bool { return r.C <= 0.05 }
 
 // trialSeed derives the deterministic per-trial seed. This formula is the
 // runner's seed-derivation contract: it depends only on (BaseSeed, trial
-// index, behaviour), never on scheduling, so the serial and trial-sharded
-// runners draw identical per-trial randomness and produce bit-identical
-// results.
+// index, behaviour), never on scheduling, so a campaign draws identical
+// per-trial randomness and produces bit-identical results at every worker
+// count.
 func (c Config) trialSeed(trial int, mapped bool) uint64 {
 	return trialSeedFor(c.BaseSeed, trial, mapped)
 }
@@ -57,11 +56,11 @@ func trialSeedFor(base uint64, trial int, mapped bool) uint64 {
 	return seed
 }
 
-// faultSeed derives the per-trial fault-injector seed under the same
+// faultSeedFor derives the per-trial fault-injector seed under the same
 // contract as trialSeed: a pure function of (FaultSeed, trial index,
 // behaviour), so a faulted campaign is exactly replayable trial by trial.
-func (c Config) faultSeed(trial int, mapped bool) uint64 {
-	seed := c.FaultSeed ^ (uint64(trial)+1)*0xd1b54a32d192ed03
+func faultSeedFor(base uint64, trial int, mapped bool) uint64 {
+	seed := base ^ (uint64(trial)+1)*0xd1b54a32d192ed03
 	if mapped {
 		seed = ^seed
 	}
@@ -268,7 +267,7 @@ func (c Config) memoWindow(prog *isa.Program) (base tlb.VPN, span uint64) {
 	if c.Ways > 0 && c.Entries >= c.Ways {
 		sets = uint64(c.Entries / c.Ways)
 	}
-	lo := prog.DataPages[0]                  // DataPages is sorted
+	lo := prog.DataPages[0] // DataPages is sorted
 	hi := prog.DataPages[len(prog.DataPages)-1]
 	margin := sets + 1
 	if lo > margin {
@@ -380,7 +379,7 @@ func (c Config) traceable() bool {
 }
 
 // newCampaign builds the template campaign machine for one behaviour. The
-// returned campaign is the template the sharded runner clones per worker.
+// returned campaign is the template RunCampaign clones per trial shard.
 func (c Config) newCampaign(v model.Vulnerability, mapped bool) (*campaign, error) {
 	if c.traceable() {
 		return c.newReplayCampaign(v, mapped)
@@ -500,236 +499,45 @@ func (cp *campaign) clone() (*campaign, error) {
 }
 
 // runTrial executes one trial under the given instruction budget and reports
-// whether the timed step observed a TLB miss (the "slow" outcome).
-func (cp *campaign) runTrial(seed, fuel uint64) (miss bool, err error) {
-	if cp.vm != nil {
-		return cp.replayTrial(seed, fuel)
+// whether the timed step observed a TLB miss (the "slow" outcome). A replay
+// campaign stands its VM in for instruction decode and execute behind the
+// same per-trial reset protocol (flush, stats reset, reseed) against the same
+// TLB. body replays only the trace after its trial-invariant prefix; it is
+// valid only once this campaign's VM has completed a trial (see
+// trace.VM.RunBody), and is ignored when the trace has no prefix or the
+// campaign executes in full.
+func (cp *campaign) runTrial(seed, fuel uint64, body bool) (miss bool, err error) {
+	vm := cp.vm
+	if vm == nil {
+		cp.machine.Reset()
 	}
-	cp.machine.Reset()
-	if !cp.skipPreFlush {
-		cp.machine.TLB.FlushAll()
-	}
-	cp.machine.TLB.ResetStats()
-	if cp.rs != nil {
-		cp.rs.Reseed(seed)
-	}
-	code, err := cp.machine.Run(fuel)
-	if err != nil {
-		return false, err
-	}
-	if code != 0 {
-		return false, fmt.Errorf("%w (exit code %d)", ErrBenchFailed, code)
-	}
-	return cp.machine.Reg(30) != 0, nil
-}
-
-// replayTrial is runTrial over the captured trace: the same per-trial reset
-// protocol (flush, stats reset, reseed) against the same TLB, with the
-// replay VM standing in for instruction decode and execute.
-func (cp *campaign) replayTrial(seed, fuel uint64) (bool, error) {
-	if !cp.skipPreFlush {
-		cp.machine.TLB.FlushAll()
-	}
-	cp.machine.TLB.ResetStats()
-	if cp.rs != nil {
-		cp.rs.Reseed(seed)
-	}
-	code, err := cp.vm.Run(cp.tr, fuel)
-	if err != nil {
-		return false, err
-	}
-	if code != 0 {
-		return false, fmt.Errorf("%w (exit code %d)", ErrBenchFailed, code)
-	}
-	return cp.vm.Reg(30) != 0, nil
-}
-
-// runTrials executes trials [lo, hi) for one behaviour and returns how many
-// observed a miss. Each trial reseeds from its own index, so the count is
-// independent of how the trial range is split across workers.
-func (c Config) runTrials(cp *campaign, v model.Vulnerability, mapped bool, lo, hi int) (int, error) {
-	misses := 0
-	// Trial-invariant values hoisted out of the loop: the methods copy the
-	// whole Config per call, which showed up as runtime.duffcopy in campaign
-	// profiles.
-	fuel := c.fuel()
-	base := c.BaseSeed
-	if cp.vm != nil {
-		return c.replayTrials(cp, v, mapped, lo, hi, fuel, base)
-	}
-	for trial := lo; trial < hi; trial++ {
-		miss, err := cp.runTrial(trialSeedFor(base, trial, mapped), fuel)
-		if err != nil {
-			return misses, fmt.Errorf("%s (mapped=%v, trial %d): %w", v, mapped, trial, err)
-		}
-		if miss {
-			misses++
-		}
-	}
-	return misses, nil
-}
-
-// replayTrials is runTrials over a replay campaign, with the per-trial reset
-// protocol of replayTrial unrolled into one loop. At campaign trial counts
-// the two calls and the repeated campaign-field loads of the generic path
-// are a measurable slice of a replayed trial, so the batch loop hoists every
-// loop-invariant — TLB, reseeder, VM, trace, budget — exactly once per
-// shard. Behaviour is identical to calling replayTrial per trial.
-func (c Config) replayTrials(cp *campaign, v model.Vulnerability, mapped bool, lo, hi int, fuel, base uint64) (int, error) {
-	misses := 0
-	vm, tr := cp.vm, cp.tr
 	tl := cp.machine.TLB
-	rs := cp.rs
-	skipFlush := cp.skipPreFlush
-	prefix := cp.prefix
-	// The shard's first trial replays the whole trace — RunBody's register
-	// snapshot is only valid once this VM has run the trace once.
-	ran := false
-	for trial := lo; trial < hi; trial++ {
-		if !skipFlush {
-			tl.FlushAll()
-		}
-		tl.ResetStats()
-		if rs != nil {
-			rs.Reseed(trialSeedFor(base, trial, mapped))
-		}
-		var code int64
-		var err error
-		if ran && prefix != nil {
-			code, err = vm.RunBody(tr, fuel, prefix)
-		} else {
-			code, err = vm.Run(tr, fuel)
-			ran = true
-		}
-		if err != nil {
-			return misses, fmt.Errorf("%s (mapped=%v, trial %d): %w", v, mapped, trial, err)
-		}
-		if code != 0 {
-			return misses, fmt.Errorf("%s (mapped=%v, trial %d): %w (exit code %d)", v, mapped, trial, ErrBenchFailed, code)
-		}
-		if vm.Reg(30) != 0 {
-			misses++
-		}
+	if !cp.skipPreFlush {
+		tl.FlushAll()
 	}
-	return misses, nil
-}
-
-// finalize derives the probability, capacity and CI columns from the counts.
-func (c Config) finalize(res *Result) {
-	res.P1, res.P2 = res.Counts.Probabilities()
-	res.C = res.Counts.Capacity()
-	res.CILow, res.CIHigh = res.Counts.BootstrapCI(300, 0.95, c.BaseSeed)
-}
-
-// RunVulnerability executes the full mapped/not-mapped campaign for one
-// vulnerability, serially on a single machine. It is the reference
-// implementation the parallel runner must match bit-for-bit.
-func (c Config) RunVulnerability(v model.Vulnerability) (Result, error) {
-	res := Result{Vulnerability: v}
-	for _, mapped := range []bool{true, false} {
-		camp, err := c.newCampaign(v, mapped)
-		if err != nil {
-			return res, err
-		}
-		misses, err := c.runTrials(camp, v, mapped, 0, c.Trials)
-		if err != nil {
-			return res, err
-		}
-		camp.release()
-		if mapped {
-			res.Counts.Mapped, res.Counts.MappedMisses = c.Trials, misses
-		} else {
-			res.Counts.NotMapped, res.Counts.NotMappedMisses = c.Trials, misses
-		}
+	tl.ResetStats()
+	if cp.rs != nil {
+		cp.rs.Reseed(seed)
 	}
-	c.finalize(&res)
-	return res, nil
-}
-
-// RunVulnerabilityParallel is RunVulnerability with the 2×Trials trials
-// sharded over a bounded worker pool (parallelism <= 0 selects GOMAXPROCS).
-// Results are bit-identical to RunVulnerability.
-func (c Config) RunVulnerabilityParallel(v model.Vulnerability, parallelism int) (Result, error) {
-	return c.runVulnerabilitySharded(pool.New(parallelism), v)
-}
-
-// runVulnerabilitySharded runs one vulnerability's two campaigns with trial
-// shards executing on p. The per-trial seed contract (trialSeed) makes the
-// shard split invisible in the results: each shard's misses depend only on
-// its trial indices, and integer summation is order-independent.
-func (c Config) runVulnerabilitySharded(p *pool.Pool, v model.Vulnerability) (Result, error) {
-	res := Result{Vulnerability: v}
-	for _, mapped := range []bool{true, false} {
-		var template *campaign
-		var err error
-		// Build the template under a worker slot: assembly and page-table
-		// setup is real work, and gating it keeps a whole RunAll sweep's
-		// concurrency at exactly the pool bound.
-		p.Run(func() { template, err = c.newCampaign(v, mapped) })
-		if err != nil {
-			return res, err
-		}
-		shards := pool.Shards(c.Trials, p.Size())
-		// The template machine runs the first shard itself; clones (taken
-		// sequentially — Clone mutates the source's copy-on-write state)
-		// serve the rest.
-		camps := make([]*campaign, len(shards))
-		for i := range shards {
-			if i == 0 {
-				camps[i] = template
-				continue
-			}
-			if camps[i], err = template.clone(); err != nil {
-				return res, err
-			}
-		}
-		missesBy := make([]int, len(shards))
-		errsBy := make([]error, len(shards))
-		p.ForEach(len(shards), func(i int) {
-			missesBy[i], errsBy[i] = c.runTrials(camps[i], v, mapped, shards[i].Lo, shards[i].Hi)
-		})
-		misses := 0
-		for i := range shards {
-			if errsBy[i] != nil {
-				return res, errsBy[i]
-			}
-			misses += missesBy[i]
-		}
-		for _, cp := range camps {
-			cp.release()
-		}
-		if mapped {
-			res.Counts.Mapped, res.Counts.MappedMisses = c.Trials, misses
-		} else {
-			res.Counts.NotMapped, res.Counts.NotMappedMisses = c.Trials, misses
-		}
+	var code int64
+	switch {
+	case vm == nil:
+		code, err = cp.machine.Run(fuel)
+	case body && cp.prefix != nil:
+		code, err = vm.RunBody(cp.tr, fuel, cp.prefix)
+	default:
+		code, err = vm.Run(cp.tr, fuel)
 	}
-	c.finalize(&res)
-	return res, nil
-}
-
-// RunAll executes the campaign for all 24 base vulnerabilities, in Table 2
-// order.
-func (c Config) RunAll() ([]Result, error) {
-	return c.runList(model.Enumerate())
-}
-
-// RunAllExtended executes the campaign for the additional Appendix B
-// vulnerabilities (targeted invalidation and variable-timing flushes).
-func (c Config) RunAllExtended() ([]Result, error) {
-	return c.runList(model.EnumerateExtended())
-}
-
-func (c Config) runList(vulns []model.Vulnerability) ([]Result, error) {
-	var out []Result
-	for _, v := range vulns {
-		r, err := c.RunVulnerability(v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	if err != nil {
+		return false, err
 	}
-	return out, nil
+	if code != 0 {
+		return false, fmt.Errorf("%w (exit code %d)", ErrBenchFailed, code)
+	}
+	if vm == nil {
+		return cp.machine.Reg(30) != 0, nil
+	}
+	return vm.Reg(30) != 0, nil
 }
 
 // DefendedCount returns how many of the results the design defends.
@@ -741,45 +549,4 @@ func DefendedCount(results []Result) int {
 		}
 	}
 	return n
-}
-
-// RunAllParallel is RunAll parallelised at two levels over one bounded
-// worker pool (parallelism <= 0 selects GOMAXPROCS): every vulnerability's
-// campaigns run concurrently AND each campaign's trials are sharded across
-// workers on cloned machines. Wall-clock therefore scales with cores even
-// when one slow campaign dominates, instead of being bounded by the slowest
-// campaign's serial trial loop. Results are bit-identical to RunAll, in the
-// same Table 2 order — see trialSeed for the determinism contract.
-func (c Config) RunAllParallel(parallelism int) ([]Result, error) {
-	return c.runListParallel(model.Enumerate(), parallelism)
-}
-
-// RunAllExtendedParallel is the parallel form of RunAllExtended.
-func (c Config) RunAllExtendedParallel(parallelism int) ([]Result, error) {
-	return c.runListParallel(model.EnumerateExtended(), parallelism)
-}
-
-func (c Config) runListParallel(vulns []model.Vulnerability, parallelism int) ([]Result, error) {
-	p := pool.New(parallelism)
-	results := make([]Result, len(vulns))
-	errs := make([]error, len(vulns))
-	var wg sync.WaitGroup
-	for i, v := range vulns {
-		i, v := i, v
-		wg.Add(1)
-		// One lightweight orchestrator per vulnerability; all actual work
-		// (template builds, trial shards) runs under p's worker bound, so
-		// the sweep's leaf concurrency is exactly the pool size.
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = c.runVulnerabilitySharded(p, v)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

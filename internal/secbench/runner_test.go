@@ -1,6 +1,7 @@
 package secbench
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,11 +11,11 @@ import (
 )
 
 // TestShardedBitIdenticalToSerial is the determinism regression test for the
-// trial-sharded runner: for every design and all 24 base vulnerabilities the
-// full Result slices — counts, probabilities, capacities AND bootstrap
-// intervals — must be byte-identical between the serial reference and the
-// sharded pool runner, at several worker counts including sizes that do not
-// divide the trial count.
+// trial-sharded campaign driver: for every design and all 24 base
+// vulnerabilities the full Result slices — counts, probabilities, capacities
+// AND bootstrap intervals — must be byte-identical between the one-worker
+// reference (one shard per behaviour, on the template machine) and larger
+// pools, including sizes that do not divide the trial count.
 func TestShardedBitIdenticalToSerial(t *testing.T) {
 	for _, tc := range []struct {
 		design Design
@@ -25,19 +26,13 @@ func TestShardedBitIdenticalToSerial(t *testing.T) {
 		{DesignRF, 40},
 	} {
 		cfg := testConfig(tc.design, tc.trials)
-		serial, err := cfg.RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := runVulns(t, cfg, model.Enumerate(), 1)
 		if len(serial) != len(model.Enumerate()) {
 			t.Fatalf("%s: expected all %d vulnerabilities, got %d",
 				tc.design, len(model.Enumerate()), len(serial))
 		}
-		for _, workers := range []int{1, 3, 0} {
-			parallel, err := cfg.RunAllParallel(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, workers := range []int{3, 0} {
+			parallel := runVulns(t, cfg, model.Enumerate(), workers)
 			// Result holds a slice-bearing Vulnerability, so compare deeply.
 			if !reflect.DeepEqual(serial, parallel) {
 				for i := range serial {
@@ -49,22 +44,6 @@ func TestShardedBitIdenticalToSerial(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRunVulnerabilityParallelMatchesSerial(t *testing.T) {
-	cfg := testConfig(DesignRF, 50)
-	v := model.Enumerate()[7]
-	serial, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := cfg.RunVulnerabilityParallel(v, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Errorf("serial %+v != sharded %+v", serial, sharded)
 	}
 }
 
@@ -104,35 +83,32 @@ func TestProgramCacheReusesAssembly(t *testing.T) {
 // TestConcurrentCampaignsOverClonedMachines drives two whole campaigns at
 // once over one shared pool — the cloned machines of both interleave on the
 // same workers. Run with -race this is the pool/clone race check; without it
-// it still verifies both campaigns match their serial references.
+// it still verifies both campaigns match their one-worker references.
 func TestConcurrentCampaignsOverClonedMachines(t *testing.T) {
 	cfgA := testConfig(DesignSA, 8)
 	cfgB := testConfig(DesignRF, 30)
 	vulns := model.Enumerate()
-	vA, vB := vulns[0], vulns[11]
-	wantA, err := cfgA.RunVulnerability(vA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := cfgB.RunVulnerability(vB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pool.New(4)
-	var gotA, gotB Result
+	vA, vB := vulns[:1], vulns[11:12]
+	wantA := runVulns(t, cfgA, vA, 1)
+	wantB := runVulns(t, cfgB, vB, 1)
+	opts := RunOptions{Pool: pool.New(4)}
+	var gotA, gotB CampaignReport
 	var errA, errB error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); gotA, errA = cfgA.runVulnerabilitySharded(p, vA) }()
-	go func() { defer wg.Done(); gotB, errB = cfgB.runVulnerabilitySharded(p, vB) }()
+	go func() { defer wg.Done(); gotA, errA = cfgA.RunCampaign(context.Background(), vA, opts) }()
+	go func() { defer wg.Done(); gotB, errB = cfgB.RunCampaign(context.Background(), vB, opts) }()
 	wg.Wait()
 	if errA != nil || errB != nil {
 		t.Fatalf("campaign errors: %v / %v", errA, errB)
 	}
-	if !reflect.DeepEqual(gotA, wantA) {
-		t.Errorf("campaign A diverged under contention: %+v != %+v", gotA, wantA)
+	if len(gotA.Quarantined)+len(gotB.Quarantined) != 0 {
+		t.Fatalf("quarantined trials under contention: %+v %+v", gotA.Quarantined, gotB.Quarantined)
 	}
-	if !reflect.DeepEqual(gotB, wantB) {
-		t.Errorf("campaign B diverged under contention: %+v != %+v", gotB, wantB)
+	if !reflect.DeepEqual(gotA.Results, wantA) {
+		t.Errorf("campaign A diverged under contention: %+v != %+v", gotA.Results, wantA)
+	}
+	if !reflect.DeepEqual(gotB.Results, wantB) {
+		t.Errorf("campaign B diverged under contention: %+v != %+v", gotB.Results, wantB)
 	}
 }

@@ -1,6 +1,7 @@
 package secbench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,6 +15,27 @@ func testConfig(d Design, trials int) Config {
 	cfg := DefaultConfig(d)
 	cfg.Trials = trials
 	return cfg
+}
+
+// runVulns runs vulns through RunCampaign on a pool of par workers (0 = all
+// CPUs) and fails the test on any error or quarantined trial, so a failing
+// trial fails the caller instead of shrinking its sample.
+func runVulns(t testing.TB, c Config, vulns []model.Vulnerability, par int) []Result {
+	t.Helper()
+	rep, err := c.RunCampaign(context.Background(), vulns, RunOptions{Parallelism: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.Quarantined); n != 0 {
+		t.Fatalf("%d trials quarantined, first: %+v", n, rep.Quarantined[0])
+	}
+	return rep.Results
+}
+
+// runOne is runVulns for a single vulnerability.
+func runOne(t testing.TB, c Config, v model.Vulnerability, par int) Result {
+	t.Helper()
+	return runVulns(t, c, []model.Vulnerability{v}, par)[0]
 }
 
 func TestGenerateAssembles(t *testing.T) {
@@ -98,10 +120,7 @@ func TestDeterministicDesignsMatchTheory(t *testing.T) {
 		defended int
 	}{{DesignSA, 10}, {DesignSP, 14}} {
 		t.Run(tc.d.Entry().Name, func(t *testing.T) {
-			results, err := testConfig(tc.d, 8).RunAll()
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := runVulns(t, testConfig(tc.d, 8), model.Enumerate(), 0)
 			if n := DefendedCount(results); n != tc.defended {
 				t.Errorf("%s defends %d, want %d", tc.d, n, tc.defended)
 			}
@@ -122,10 +141,7 @@ func TestDeterministicDesignsMatchTheory(t *testing.T) {
 // Evict + Time, Prime + Probe and Bernstein rows, where the theory gives
 // C = 1 and the campaign measures C* = 0.
 func TestFATheoryGap(t *testing.T) {
-	results, err := testConfig(DesignFA, 8).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runVulns(t, testConfig(DesignFA, 8), model.Enumerate(), 0)
 	gap := map[string]bool{"TLB Evict + Time": true, "TLB Prime + Probe": true, "TLB version of Bernstein's Attack": true}
 	n := 0
 	for _, r := range results {
@@ -146,10 +162,7 @@ func TestFATheoryGap(t *testing.T) {
 
 func TestRFDefendsAll24(t *testing.T) {
 	cfg := testConfig(DesignRF, 250)
-	results, err := cfg.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runVulns(t, cfg, model.Enumerate(), 0)
 	for _, r := range results {
 		if !r.Defended() {
 			t.Errorf("RF %s: C* = %.3f (p1=%.2f p2=%.2f), want ~0",
@@ -173,10 +186,7 @@ func TestRFAliasRowsNearTheory(t *testing.T) {
 	if !ok {
 		t.Fatal("alias IC row missing")
 	}
-	r, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, cfg, v, 0)
 	want := 1 - 1.0/31
 	if math.Abs(r.P1-want) > 0.05 || math.Abs(r.P2-want) > 0.05 {
 		t.Errorf("alias IC: (p1,p2) = (%.3f,%.3f), want ≈ %.3f", r.P1, r.P2, want)
@@ -188,16 +198,13 @@ func TestRFTrialsAreSeedDependent(t *testing.T) {
 	// seeds identical counts — the campaign is reproducible.
 	v, _ := model.Find(model.Enumerate(), model.Pattern{model.Ad, model.Vu, model.Ad})
 	cfg := testConfig(DesignRF, 60)
-	a, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := cfg.RunVulnerability(v)
+	a := runOne(t, cfg, v, 0)
+	b := runOne(t, cfg, v, 0)
 	if a.Counts != b.Counts {
 		t.Error("same seed must reproduce the same counts")
 	}
 	cfg.BaseSeed++
-	c, _ := cfg.RunVulnerability(v)
+	c := runOne(t, cfg, v, 0)
 	if a.Counts == c.Counts {
 		t.Log("note: different seed produced identical counts (possible but unlikely)")
 	}
@@ -207,11 +214,7 @@ func TestFlushAndInvariantsAcrossTrials(t *testing.T) {
 	// Trials must be independent: running a campaign twice in a row yields
 	// identical results for the deterministic designs.
 	v, _ := model.Find(model.Enumerate(), model.Pattern{model.Vu, model.Aa, model.Vu})
-	cfg := testConfig(DesignSA, 5)
-	a, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runOne(t, testConfig(DesignSA, 5), v, 0)
 	if a.Counts.MappedMisses != 5 || a.Counts.NotMappedMisses != 0 {
 		t.Errorf("E+T SA counts = %+v, want deterministic 5/0", a.Counts)
 	}
@@ -285,19 +288,12 @@ func TestDesignString(t *testing.T) {
 func TestResultConfidenceIntervals(t *testing.T) {
 	cfg := testConfig(DesignSA, 12)
 	v, _ := model.Find(model.Enumerate(), model.Pattern{model.Ad, model.Vu, model.Ad})
-	r, err := cfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, cfg, v, 0)
 	// Deterministic SA outcome: the interval collapses onto C* = 1.
 	if r.CILow != 1 || r.CIHigh != 1 {
 		t.Errorf("SA P+P CI = [%v,%v], want [1,1]", r.CILow, r.CIHigh)
 	}
-	rfCfg := testConfig(DesignRF, 200)
-	r, err = rfCfg.RunVulnerability(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r = runOne(t, testConfig(DesignRF, 200), v, 0)
 	if r.CILow > r.C+1e-9 || r.CIHigh < 0 {
 		t.Errorf("RF CI [%v,%v] inconsistent with C*=%v", r.CILow, r.CIHigh, r.C)
 	}
@@ -314,10 +310,7 @@ func TestRFSecureRegionSizeSweep(t *testing.T) {
 		cfg := testConfig(DesignRF, 150)
 		cfg.Params.SecRangeSmall = size
 		cfg.Params.SecRangeBig = size
-		r, err := cfg.RunVulnerability(v)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
+		r := runOne(t, cfg, v, 0)
 		if !r.Defended() {
 			t.Errorf("size %d: C* = %.3f (p1=%.2f p2=%.2f), RF must stay defended", size, r.C, r.P1, r.P2)
 		}
@@ -325,18 +318,13 @@ func TestRFSecureRegionSizeSweep(t *testing.T) {
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
-	// The parallel runner must produce byte-identical results to the serial
-	// one (independent campaigns, deterministic seeds).
+	// A campaign sharded over four workers must produce byte-identical
+	// counts to the one-worker reference (independent trials, deterministic
+	// seeds).
 	for _, d := range []Design{DesignSA, DesignRF} {
 		cfg := testConfig(d, 25)
-		serial, err := cfg.RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := cfg.RunAllParallel(4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := runVulns(t, cfg, model.Enumerate(), 1)
+		parallel := runVulns(t, cfg, model.Enumerate(), 4)
 		if len(serial) != len(parallel) {
 			t.Fatalf("%s: lengths differ", d)
 		}
@@ -352,14 +340,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelExtended(t *testing.T) {
 	cfg := testConfig(DesignSA, 5)
-	serial, err := cfg.RunAllExtended()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := cfg.RunAllExtendedParallel(0) // default parallelism
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runVulns(t, cfg, model.EnumerateExtended(), 1)
+	parallel := runVulns(t, cfg, model.EnumerateExtended(), 0) // default parallelism
 	if DefendedCount(serial) != DefendedCount(parallel) {
 		t.Error("extended parallel verdicts diverge from serial")
 	}

@@ -2,6 +2,7 @@ package secbench
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -75,72 +76,105 @@ func TestReplayCampaignActive(t *testing.T) {
 // TestReplayMatchesFullExecution is the bit-identity guard: for every design,
 // with and without the invariant checker, replayed campaigns produce Results
 // — counts, probabilities, capacity and bootstrap CIs — identical to full
-// decode-and-execute, serially and under the trial-sharded parallel runner.
+// decode-and-execute on one worker, at one, four and GOMAXPROCS workers.
 func TestReplayMatchesFullExecution(t *testing.T) {
 	vulns := replayTestVulns(t)
 	for _, d := range AllDesigns() {
 		for _, inv := range []bool{false, true} {
-			for _, v := range vulns {
-				full := replayTestConfig(d)
-				full.Invariants = inv
-				full.DisableTrace = true
-				want, err := full.RunVulnerability(v)
-				if err != nil {
-					t.Fatalf("%s inv=%v %s: full: %v", d, inv, v, err)
-				}
+			full := replayTestConfig(d)
+			full.Invariants = inv
+			full.DisableTrace = true
+			want := runVulns(t, full, vulns, 1)
 
-				replay := full
-				replay.DisableTrace = false
-				got, err := replay.RunVulnerability(v)
-				if err != nil {
-					t.Fatalf("%s inv=%v %s: replay: %v", d, inv, v, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s inv=%v %s: replay diverged:\n full:   %+v\n replay: %+v",
-						d, inv, v, want, got)
-				}
-
-				par, err := replay.RunVulnerabilityParallel(v, 4)
-				if err != nil {
-					t.Fatalf("%s inv=%v %s: parallel replay: %v", d, inv, v, err)
-				}
-				if !reflect.DeepEqual(par, want) {
-					t.Errorf("%s inv=%v %s: parallel replay diverged:\n full:   %+v\n replay: %+v",
-						d, inv, v, want, par)
+			replay := full
+			replay.DisableTrace = false
+			for _, workers := range []int{1, 4, 0} {
+				got := runVulns(t, replay, vulns, workers)
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("%s inv=%v %s, %d workers: replay diverged:\n full:   %+v\n replay: %+v",
+							d, inv, vulns[i], workers, want[i], got[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestReplayQuarantineIdentity drives the resilient runner with an injected
-// per-trial fuel squeeze: replay must meter fuel exactly like full execution,
+// TestReplayQuarantineIdentity drives the campaign driver with injected
+// per-trial failures: replay must meter fuel exactly like full execution,
 // quarantining the same trials with the same kinds and completing with the
-// same surviving statistics.
+// same surviving statistics, at one and four workers. The inputs are a fixed
+// ten-instruction squeeze, a budget that runs out inside each unit's trace
+// body (so a body-only replay fails and the trial after it must replay the
+// whole trace), and an Inject hook that panics.
 func TestReplayQuarantineIdentity(t *testing.T) {
 	vulns := replayTestVulns(t)[:2]
-	run := func(disable bool) CampaignReport {
-		t.Helper()
-		c := replayTestConfig(DesignRF)
-		c.DisableTrace = disable
-		c.Inject = func(v model.Vulnerability, mapped bool, trial int) uint64 {
+	// bodyFuel runs out inside each unit's trace body: above the prefix's
+	// retirements, below the whole trace's.
+	bodyFuel := map[string]uint64{}
+	unit := func(v model.Vulnerability, mapped bool) string { return fmt.Sprintf("%s/%v", v, mapped) }
+	for _, v := range vulns {
+		for _, mapped := range []bool{true, false} {
+			cp, err := replayTestConfig(DesignRF).newCampaign(v, mapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.prefix == nil {
+				t.Fatalf("%s mapped=%v: trace has no prefix; the body-fuel input is vacuous", v, mapped)
+			}
+			f := (cp.prefix.Instret + cp.tr.Instret) / 2
+			if f <= cp.prefix.Instret || f >= cp.tr.Instret {
+				t.Fatalf("%s mapped=%v: no budget between prefix (%d) and trace (%d) retirements",
+					v, mapped, cp.prefix.Instret, cp.tr.Instret)
+			}
+			bodyFuel[unit(v, mapped)] = f
+			cp.release()
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		inject func(v model.Vulnerability, mapped bool, trial int) uint64
+	}{
+		{"prefix-fuel", func(v model.Vulnerability, mapped bool, trial int) uint64 {
 			if trial%17 == 3 {
 				return 10 // starve the trial: fuel-exhausted quarantine
 			}
 			return 0
+		}},
+		{"body-fuel", func(v model.Vulnerability, mapped bool, trial int) uint64 {
+			if trial%13 == 5 {
+				return bodyFuel[unit(v, mapped)]
+			}
+			return 0
+		}},
+		{"panic", func(v model.Vulnerability, mapped bool, trial int) uint64 {
+			if trial%11 == 7 {
+				panic("injected trial crash")
+			}
+			return 0
+		}},
+	} {
+		for _, workers := range []int{1, 4} {
+			run := func(disable bool) CampaignReport {
+				t.Helper()
+				c := replayTestConfig(DesignRF)
+				c.DisableTrace = disable
+				c.Inject = tc.inject
+				rep, err := c.RunCampaign(context.Background(), vulns, RunOptions{Parallelism: workers})
+				if err != nil {
+					t.Fatalf("%s, %d workers: RunCampaign(disable=%v): %v", tc.name, workers, disable, err)
+				}
+				return rep
+			}
+			want, got := run(true), run(false)
+			if len(want.Quarantined) == 0 {
+				t.Fatalf("%s quarantined nothing; the guard is vacuous", tc.name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d workers: replay diverged:\n full:   %+v\n replay: %+v", tc.name, workers, want, got)
+			}
 		}
-		rep, err := c.RunCampaign(context.Background(), vulns, RunOptions{Parallelism: 4})
-		if err != nil {
-			t.Fatalf("RunCampaign(disable=%v): %v", disable, err)
-		}
-		return rep
-	}
-	want, got := run(true), run(false)
-	if len(want.Quarantined) == 0 {
-		t.Fatalf("fuel squeeze quarantined nothing; the guard is vacuous")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resilient replay diverged:\n full:   %+v\n replay: %+v", want, got)
 	}
 }
 

@@ -58,12 +58,12 @@ func FuzzTraceDecode(f *testing.F) {
 		c[idx%len(c)] ^= b
 		f.Add(c)
 	}
-	corrupt(0, 0xff)           // magic
-	corrupt(4, 0x01)           // version
-	corrupt(5, 0x01)           // exit
-	corrupt(8, 0xff)           // register area
-	corrupt(40, 0x80)          // force a non-canonical varint
-	corrupt(len(valid)-1, 0x1) // checksum
+	corrupt(0, 0xff)            // magic
+	corrupt(4, 0x01)            // version
+	corrupt(5, 0x01)            // exit
+	corrupt(8, 0xff)            // register area
+	corrupt(40, 0x80)           // force a non-canonical varint
+	corrupt(len(valid)-1, 0x1)  // checksum
 	f.Add(valid[:len(valid)-9]) // truncated body, checksum stripped
 	f.Add(valid[:4])
 	f.Add([]byte{})

@@ -24,12 +24,16 @@
 package securetlb
 
 import (
+	"context"
+	"fmt"
+
 	"securetlb/internal/area"
 	"securetlb/internal/attack"
 	"securetlb/internal/cache"
 	"securetlb/internal/capacity"
 	"securetlb/internal/model"
 	"securetlb/internal/perf"
+	"securetlb/internal/pool"
 	"securetlb/internal/secbench"
 	"securetlb/internal/tlb"
 	"securetlb/internal/victim"
@@ -136,13 +140,24 @@ const (
 
 // SecurityEvaluation generates and runs the micro security benchmarks for
 // all 24 vulnerability types on the given design (paper §5.3 setup: 8-way
-// 32-entry TLB, `trials` mapped + `trials` not-mapped runs each).
+// 32-entry TLB, `trials` mapped + `trials` not-mapped runs each), on all
+// CPUs. It fails loudly: a campaign that quarantined any trial returns an
+// error naming the first one instead of statistics over fewer trials.
 func SecurityEvaluation(design SecurityDesign, trials int) ([]SecurityResult, error) {
 	cfg := secbench.DefaultConfig(design)
 	if trials > 0 {
 		cfg.Trials = trials
 	}
-	return cfg.RunAll()
+	rep, err := cfg.RunAllCtx(context.Background(), secbench.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if len(rep.Quarantined) > 0 {
+		q := rep.Quarantined[0]
+		return nil, fmt.Errorf("securetlb: %s %s (%s) mapped=%v trial %d quarantined (%s): %s",
+			q.Design, q.Pattern, q.Observation, q.Mapped, q.Trial, q.Kind, q.Reason)
+	}
+	return rep.Results, nil
 }
 
 // GenerateSecurityBenchmark emits the assembly source of one micro security
@@ -179,9 +194,10 @@ type (
 )
 
 // Figure7 regenerates one design's Figure 7 sweep: every TLB geometry ×
-// {RSA alone, RSA with each SPEC stand-in}, with `decrypts` RSA runs.
+// {RSA alone, RSA with each SPEC stand-in}, with `decrypts` RSA runs, on all
+// CPUs. Any failing cell fails the sweep.
 func Figure7(design PerfDesign, secure bool, decrypts int, seed uint64) ([]PerfRow, error) {
-	return perf.Figure7(design, secure, decrypts, seed)
+	return perf.Figure7Pool(context.Background(), design, secure, decrypts, seed, pool.New(0), nil)
 }
 
 // Area model (Table 5).
