@@ -54,15 +54,17 @@ race:
 # checked-in record of the capture-once/replay-everywhere speedup; medians
 # across -count runs, so one noisy run cannot skew it). The Table 4 rungs
 # include the RF campaign on the checked path (Table4SecurityEvalRFChecked:
-# interpreter plus assertion monitor). The cipher and monitored-Translate
-# rungs run on time-based benchtime: a fixed 20 iterations of a call that
-# takes nanoseconds to microseconds would time the benchmark loop, not the
-# call.
+# interpreter plus assertion monitor) and the miss-heavy FA campaign. The
+# Translate rungs (every design's hit and miss path apart, plus FA 128), the
+# cipher and monitored-Translate run on time-based benchtime: a fixed 20
+# iterations of a call that takes nanoseconds to microseconds would time the
+# benchmark loop, not the call.
 bench:
 	$(GO) test -run xxx -bench 'RunVulnerability|RunAll(Serial|Parallel)' -benchtime 2x .
 	$(GO) test -run xxx -bench Clone ./internal/mem/ ./internal/cpu/
-	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)|Translate' \
+	{ $(GO) test -run xxx -bench 'Table4SecurityEval(RF|RI|FS|FA)|Campaign(TraceReplay|FullExec)|Figure7(TraceReplay|FullExec)' \
 		-benchmem -benchtime 20x -count 5 . && \
+	  $(GO) test -run xxx -bench '^BenchmarkTranslate$$' -benchmem -benchtime 1s -count 5 . && \
 	  $(GO) test -run xxx -bench PrinceEncrypt -benchtime 1s -count 5 ./internal/tlb/ && \
 	  $(GO) test -run xxx -bench Translate -benchmem -benchtime 1s -count 5 ./internal/assert/; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_campaign.json

@@ -102,6 +102,11 @@ func BenchmarkTable4SecurityEvalSA(b *testing.B) { benchTable4(b, secbench.Desig
 func BenchmarkTable4SecurityEvalSP(b *testing.B) { benchTable4(b, secbench.DesignSP, 20, 14, false) }
 func BenchmarkTable4SecurityEvalRF(b *testing.B) { benchTable4(b, secbench.DesignRF, 120, 24, false) }
 
+// BenchmarkTable4SecurityEvalFA is the costliest Table 4 design: one set of
+// 32 ways, where 97% of the campaign's accesses miss, so it times the fill
+// path: the tag scan that finds no match and the victim choice.
+func BenchmarkTable4SecurityEvalFA(b *testing.B) { benchTable4(b, secbench.DesignFA, 20, 18, false) }
+
 // BenchmarkTable4SecurityEvalRFFullExec is the full-execution twin of
 // BenchmarkTable4SecurityEvalRF: the identical RF campaign with trace replay
 // disabled, so every trial decodes and executes its program from scratch.
@@ -272,46 +277,69 @@ func BenchmarkTLBleedKeyRecovery(b *testing.B) {
 
 // --- TLB design micro-benchmarks ---------------------------------------------------
 
-func benchTranslate(b *testing.B, mk func() (tlb.TLB, error)) {
-	t, err := mk()
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkTranslate times one Translate per op on every security design at
+// the secbench geometry (FA one set of 32), plus FA 128, the Figure 7
+// width, with the hit and the miss path apart. The hit rung cycles a
+// quarter of the entries, spread over the sets (it fits every design, and
+// never reaches RI's 16 fills between re-keys); the miss rung cycles twice
+// a set's ways through one set (four times the entries under RI's keyed
+// index, re-keying as in campaigns). The counters must confirm that a hit
+// rung never missed and a miss rung never hit.
+func BenchmarkTranslate(b *testing.B) {
+	type geom struct {
+		name string
+		cfg  secbench.Config
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := t.Translate(1, tlb.VPN(i%64)); err != nil {
-			b.Fatal(err)
+	var geoms []geom
+	for _, d := range design.Security.Designs() {
+		geoms = append(geoms, geom{d.Entry().Name, secbench.DefaultConfig(d)})
+	}
+	fa128 := secbench.DefaultConfig(design.FA)
+	fa128.Entries, fa128.Ways = 128, 128
+	geoms = append(geoms, geom{"FA128", fa128})
+	for _, g := range geoms {
+		cfg := g.cfg
+		sets := cfg.Entries / cfg.Ways
+		hit := make([]tlb.VPN, cfg.Entries/4)
+		for i := range hit {
+			hit[i] = tlb.VPN(0x100 + i)
+		}
+		nmiss := 2 * cfg.Ways
+		if cfg.Design == design.RI {
+			nmiss = 4 * cfg.Entries
+		}
+		miss := make([]tlb.VPN, nmiss)
+		for i := range miss {
+			miss[i] = tlb.VPN(0x100 + i*sets)
+		}
+		for _, rung := range []struct {
+			kind  string
+			pages []tlb.VPN
+		}{{"hit", hit}, {"miss", miss}} {
+			b.Run(g.name+"/"+rung.kind, func(b *testing.B) {
+				t, err := cfg.NewTLB(identityWalker(), cfg.BaseSeed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range rung.pages {
+					t.Translate(0, p)
+				}
+				t.ResetStats()
+				n := len(rung.pages)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := t.Translate(0, rung.pages[i%n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if st := t.Stats(); rung.kind == "hit" && st.Misses != 0 || rung.kind == "miss" && st.Hits != 0 {
+					b.Fatalf("%d hits, %d misses", st.Hits, st.Misses)
+				}
+			})
 		}
 	}
-}
-
-func BenchmarkTranslateSA4W32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewSetAssoc(32, 4, identityWalker()) })
-}
-
-func BenchmarkTranslateFA32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) { return tlb.NewFullyAssoc(32, identityWalker()) })
-}
-
-func BenchmarkTranslateSP4W32(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) {
-		sp, err := tlb.NewSP(32, 4, 2, identityWalker())
-		if err == nil {
-			sp.SetVictim(1)
-		}
-		return sp, err
-	})
-}
-
-func BenchmarkTranslateRF8W32Secure(b *testing.B) {
-	benchTranslate(b, func() (tlb.TLB, error) {
-		rf, err := tlb.NewRF(32, 8, identityWalker(), 1)
-		if err == nil {
-			rf.SetVictim(1)
-			rf.SetSecureRegion(0, 31)
-		}
-		return rf, err
-	})
 }
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------------------

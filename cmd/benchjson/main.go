@@ -69,6 +69,7 @@ type Speedup struct {
 type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GoMaxProcs int         `json:"gomaxprocs,omitempty"`
+	CPU        string      `json:"cpu,omitempty"` // model from the "cpu:" header
 	Benchmarks []Benchmark `json:"benchmarks"`
 	Speedups   []Speedup   `json:"speedups,omitempty"`
 }
@@ -111,14 +112,21 @@ type lineScanner interface {
 }
 
 // parse consumes `go test -bench` output and builds the aggregated report.
-// Non-benchmark lines (the PASS/ok trailer, compile output) are ignored, so
-// the full `go test` stream can be piped in unfiltered.
+// The first "cpu:" header names the processor model; other non-benchmark
+// lines (the PASS/ok trailer, compile output) are ignored, so the full
+// `go test` stream can be piped in unfiltered.
 func parse(sc lineScanner) (*Report, error) {
 	samples := map[string][]sample{}
 	order := []string{}
 	procs := 0
+	cpu := ""
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if model, ok := strings.CutPrefix(line, "cpu:"); ok && cpu == "" {
+			cpu = strings.TrimSpace(model)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
@@ -156,7 +164,7 @@ func parse(sc lineScanner) (*Report, error) {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
 
-	report := &Report{GoVersion: runtime.Version(), GoMaxProcs: procs}
+	report := &Report{GoVersion: runtime.Version(), GoMaxProcs: procs, CPU: cpu}
 	byName := map[string]*Benchmark{}
 	for _, name := range order {
 		ss := samples[name]

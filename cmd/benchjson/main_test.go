@@ -10,7 +10,7 @@ import (
 const sampleOutput = `goos: linux
 goarch: amd64
 pkg: securetlb
-cpu: whatever
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkTable4SecurityEvalRF-8         	      20	   2000000 ns/op
 BenchmarkTable4SecurityEvalRF-8         	      20	   1900000 ns/op
 BenchmarkTable4SecurityEvalRF-8         	      20	   2100000 ns/op
@@ -34,6 +34,9 @@ func TestParseAggregatesAndPairs(t *testing.T) {
 	}
 	if r.GoMaxProcs != 8 {
 		t.Errorf("gomaxprocs = %d, want 8", r.GoMaxProcs)
+	}
+	if r.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("cpu = %q, want the header's model", r.CPU)
 	}
 	if len(r.Benchmarks) != 6 {
 		t.Fatalf("benchmarks = %d, want 6", len(r.Benchmarks))
@@ -105,6 +108,9 @@ func TestParseNoProcsSuffix(t *testing.T) {
 	}
 	if r.GoMaxProcs != 0 {
 		t.Errorf("gomaxprocs = %d, want 0", r.GoMaxProcs)
+	}
+	if r.CPU != "" {
+		t.Errorf("cpu = %q, want empty without a cpu: header", r.CPU)
 	}
 }
 

@@ -11,10 +11,12 @@
 package capacity
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -347,16 +349,16 @@ func (c Counts) resample(seed uint64, i int, p1, p2 float64) float64 {
 	if state == 0 {
 		state = 0x2545f4914f6cdd1d
 	}
-	next := func() float64 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return float64(state>>11) / float64(1<<53)
-	}
+	// A draw counts when its 53-bit uniform x, read as x/2^53, falls below
+	// p: the integer compare x < drawThreshold(p) decides the same.
 	binom := func(n int, p float64) int {
+		t := drawThreshold(p)
 		k := 0
 		for j := 0; j < n; j++ {
-			if next() < p {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			if state>>11 < t {
 				k++
 			}
 		}
@@ -369,11 +371,34 @@ func (c Counts) resample(seed uint64, i int, p1, p2 float64) float64 {
 	return r.Capacity()
 }
 
+// drawThreshold returns the t for which x/2^53 < p exactly when x < t, for
+// every 53-bit integer x: ceil(p·2^53), exact because scaling by a power of
+// two is. A p at or below 0, or NaN, admits no draw; a p of 1 or more
+// admits every draw.
+func drawThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// sortFloats sorts v ascending in place exactly as an insertion sort by <
+// does: -0 and +0 keep their input order, and a NaN (which compares false
+// both ways) stays where it is, with the values on either side of it sorted
+// apart.
 func sortFloats(v []float64) {
-	// Insertion sort; resample counts are small (hundreds).
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+	for len(v) > 0 {
+		n := 0
+		for n < len(v) && !math.IsNaN(v[n]) {
+			n++
 		}
+		slices.SortStableFunc(v[:n], cmp.Compare[float64])
+		if n < len(v) {
+			n++ // step over the NaN
+		}
+		v = v[n:]
 	}
 }

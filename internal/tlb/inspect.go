@@ -16,8 +16,11 @@ package tlb
 // EntrySnapshot is one TLB entry. It is the storage type of every
 // inspectable design's array, so SnapshotAppend is a plain copy of the
 // array and CorruptEntry mutates the live entry. Field order packs the
-// struct into 32 bytes so an 8-way set scan touches four cache lines instead
-// of five — lookups scan sets on every access, so the layout is hot.
+// struct into 32 bytes. Lookups do not scan these entries: the array core
+// keeps a packed shadow of each valid way's VPN and ASID for the tag match
+// and per-set recency lists for the victim choice, both derived from the
+// entries and re-derived by every core writer (see array.go), so a lookup
+// reads an entry only on a tag hit.
 type EntrySnapshot struct {
 	VPN VPN
 	PPN PPN
@@ -44,7 +47,9 @@ type Inspectable interface {
 	// CorruptEntry applies f in place to the valid entry at (set, way),
 	// modelling an in-array bit error. It reports whether an entry was
 	// corrupted; invalid ways and out-of-range coordinates are left
-	// untouched.
+	// untouched. f may change any field: the design re-derives the way's
+	// match shadow and its set's recency order from the corrupted entry, so
+	// later lookups and fills see exactly what the array now holds.
 	CorruptEntry(set, way int, f func(*EntrySnapshot)) bool
 	// SetFaultHook installs h as the design's fault-injection hook, or
 	// removes it when h is nil.

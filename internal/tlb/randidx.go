@@ -121,12 +121,11 @@ func (t *RandIdx) translate(asid ASID, vpn VPN, res *Result) error {
 	}
 	s := t.index(asid, vpn)
 	t.clock++
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
-	if hit >= 0 {
-		res.PPN, res.Hit, res.Cycles = t.hit(&t.sets[s][hit], s, hit), true, hitCycles+rekeyCost
+	if w := t.match(s, asid, vpn); w >= 0 {
+		res.PPN, res.Hit, res.Cycles = t.hit(s, w), true, hitCycles+rekeyCost
 		return nil
 	}
-	err := t.demandFill(s, victim, 0, t.geom.ways, asid, vpn, res)
+	err := t.demandFill(s, 0, t.geom.ways, asid, vpn, res)
 	res.Cycles += rekeyCost
 	if res.Filled {
 		// The re-key schedule advances with the control logic's view, so a
@@ -138,18 +137,12 @@ func (t *RandIdx) translate(asid ASID, vpn VPN, res *Result) error {
 
 // Probe implements TLB.
 func (t *RandIdx) Probe(asid ASID, vpn VPN) bool {
-	return t.find(t.index(asid, vpn), asid, vpn) >= 0
+	return t.match(t.index(asid, vpn), asid, vpn) >= 0
 }
 
 // FlushPage implements TLB.
 func (t *RandIdx) FlushPage(asid ASID, vpn VPN) bool {
-	s := t.index(asid, vpn)
-	t.stats.Flushes++
-	if w := t.find(s, asid, vpn); w >= 0 {
-		t.sets[s][w] = entry{}
-		return true
-	}
-	return false
+	return t.flushPage(t.index(asid, vpn), asid, vpn)
 }
 
 // FlushPageAllASIDs implements TLB. Each process indexes the page under its
@@ -159,9 +152,8 @@ func (t *RandIdx) FlushPage(asid ASID, vpn VPN) bool {
 func (t *RandIdx) FlushPageAllASIDs(vpn VPN) bool {
 	t.stats.Flushes++
 	any := false
-	for i := range t.backing {
-		if e := &t.backing[i]; e.Valid && e.VPN == vpn {
-			*e = entry{}
+	for s := 0; s < t.geom.sets; s++ {
+		if t.flushVPN(s, vpn) {
 			any = true
 		}
 	}

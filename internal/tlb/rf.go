@@ -106,17 +106,12 @@ func (t *RF) fill(asid ASID, vpn VPN, ppn PPN, sec bool, res *Result) {
 	s := t.geom.setIndex(vpn)
 	// If the translation is already present (D' may collide with a cached
 	// entry), just refresh its LRU position.
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
-	if hit >= 0 {
-		t.sets[s][hit].Stamp = t.clock
-		t.sets[s][hit].Sec = sec
+	if w := t.match(s, asid, vpn); w >= 0 {
+		t.at(s, w).Sec = sec
+		t.touch(s, w, nil)
 		return
 	}
-	if t.hook != nil && t.hook.OnFill != nil {
-		t.installHooked(s, victim, 0, t.geom.ways, asid, vpn, ppn, sec, res)
-	} else {
-		t.install(s, victim, asid, vpn, ppn, sec, res)
-	}
+	t.install(s, t.fillWay(s, 0), 0, t.geom.ways, asid, vpn, ppn, sec, res)
 }
 
 // lazyStarved reports whether the ablation-mode asynchronous fill engine
@@ -149,17 +144,18 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 	t.stats.Lookups++
 	s := t.geom.setIndex(vpn)
 	t.clock++
-	hit, rWay := findOrVictim(t.sets[s], asid, vpn)
-	if hit >= 0 {
-		res.PPN, res.Hit, res.Cycles = t.hit(&t.sets[s][hit], s, hit), true, hitCycles
+	if w := t.match(s, asid, vpn); w >= 0 {
+		res.PPN, res.Hit, res.Cycles = t.hit(s, w), true, hitCycles
 		return nil
 	}
 	t.stats.Misses++
-	// "No fill" probe (Figure 4 steps 1–3): the fused scan already
-	// identified the entry R the requested translation would evict; read
-	// its Sec bit.
+	// "No fill" probe (Figure 4 steps 1–3): the head of the set's recency
+	// list is the entry R the requested translation would evict; read its
+	// Sec bit.
 	secD := t.secure(asid, vpn)
-	secR := t.sets[s][rWay].Valid && t.sets[s][rWay].Sec
+	rWay := t.fillWay(s, 0)
+	r := t.at(s, rWay)
+	secR := r.Valid && r.Sec
 
 	// Walk the requested translation D; its result always goes back to the
 	// processor (directly or through the no-fill buffer).
@@ -173,11 +169,7 @@ func (t *RF) translate(asid ASID, vpn VPN, res *Result) error {
 		// Normal TLB miss. D was absent at the probe and nothing has been
 		// installed since, so the probe's victim way is still current.
 		res.Filled = true
-		if t.hook != nil && t.hook.OnFill != nil {
-			t.installHooked(s, rWay, 0, t.geom.ways, asid, vpn, ppn, false, res)
-		} else {
-			t.install(s, rWay, asid, vpn, ppn, false, res)
-		}
+		t.install(s, rWay, 0, t.geom.ways, asid, vpn, ppn, false, res)
 		t.stats.Fills++
 		return nil
 	}
@@ -255,12 +247,12 @@ func (t *RF) RNGClone() RNG { return RNG{inner: *t.rng} }
 // Result exposes a biased or stuck RNG.
 func (t *RF) PredictRandomFill(g *RNG, asid ASID, vpn VPN) (VPN, bool, error) {
 	s := t.geom.setIndex(vpn)
-	if t.find(s, asid, vpn) >= 0 {
+	if t.match(s, asid, vpn) >= 0 {
 		return 0, false, nil
 	}
 	secD := t.secure(asid, vpn)
-	rWay := lruWay(t.sets[s])
-	secR := t.sets[s][rWay].Valid && t.sets[s][rWay].Sec
+	r := t.at(s, t.fillWay(s, 0))
+	secR := r.Valid && r.Sec
 	if !secD && !secR {
 		return 0, false, nil
 	}

@@ -54,12 +54,11 @@ func (t *SetAssoc) translate(asid ASID, vpn VPN, res *Result) error {
 	t.stats.Lookups++
 	s := t.geom.setIndex(vpn)
 	t.clock++
-	hit, victim := findOrVictim(t.sets[s], asid, vpn)
-	if hit >= 0 {
-		res.PPN, res.Hit, res.Cycles = t.hit(&t.sets[s][hit], s, hit), true, hitCycles
+	if w := t.match(s, asid, vpn); w >= 0 {
+		res.PPN, res.Hit, res.Cycles = t.hit(s, w), true, hitCycles
 		return nil
 	}
-	return t.demandFill(s, victim, 0, t.geom.ways, asid, vpn, res)
+	return t.demandFill(s, 0, t.geom.ways, asid, vpn, res)
 }
 
 // CloneWith implements Cloner.

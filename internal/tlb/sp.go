@@ -34,6 +34,7 @@ func NewSP(entries, ways, victimWays int, walker Walker) (*SP, error) {
 	if victimWays <= 0 || victimWays >= ways {
 		return nil, fmt.Errorf("tlb: SP victimWays must be in (0,%d), got %d", ways, victimWays)
 	}
+	a.setSplit(victimWays)
 	return &SP{plainArray: plainArray{a}, victimWays: victimWays}, nil
 }
 
@@ -51,22 +52,18 @@ func (t *SP) SetVictimWays(n int) error {
 		return fmt.Errorf("tlb: SP victimWays must be in (0,%d), got %d", t.geom.ways, n)
 	}
 	t.victimWays = n
-	if !t.hasVictim {
-		return nil
-	}
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			e := &t.sets[s][w]
-			if !e.Valid {
-				continue
-			}
+	if t.hasVictim {
+		for i := range t.backing {
+			e := &t.backing[i]
 			isVictim := e.ASID == t.victim
-			inVictimWays := w < t.victimWays
-			if isVictim != inVictimWays {
+			inVictimWays := i%t.geom.ways < n
+			if e.Valid && isVictim != inVictimWays {
 				*e = entry{}
+				t.sync(i)
 			}
 		}
 	}
+	t.setSplit(n) // the partitions are the replacement regions
 	return nil
 }
 
@@ -107,13 +104,12 @@ func (t *SP) translate(asid ASID, vpn VPN, res *Result) error {
 	t.stats.Lookups++
 	s := t.geom.setIndex(vpn)
 	t.clock++
-	lo, hi := t.partition(asid)
-	hit, victim := findOrVictimIn(t.sets[s], asid, vpn, lo, hi)
-	if hit >= 0 {
-		res.PPN, res.Hit, res.Cycles = t.hit(&t.sets[s][hit], s, hit), true, hitCycles
+	if w := t.match(s, asid, vpn); w >= 0 {
+		res.PPN, res.Hit, res.Cycles = t.hit(s, w), true, hitCycles
 		return nil
 	}
-	return t.demandFill(s, victim, lo, hi, asid, vpn, res)
+	lo, hi := t.partition(asid)
+	return t.demandFill(s, lo, hi, asid, vpn, res)
 }
 
 // CloneWith implements Cloner.

@@ -14,8 +14,9 @@
 // The designs model the L1 D-TLB of the paper's Rocket Core implementation.
 // The paper defines its secure TLBs as a change of policy on one
 // set-associative array, and the code is split the same way: one array core
-// (array.go) holds the sets, LRU clock, counters, flushes, snapshot and
-// fault hook, the fused hit-or-victim scan and the fill install, and each
+// (array.go) holds the entries, the packed tag words a lookup scans, the
+// per-set recency lists a miss takes its victim from, the LRU clock,
+// counters, flushes, snapshot and fault hook and the fill install, and each
 // single-array design embeds it and supplies only its policy — its index
 // function, its fill range, what a miss installs and what triggers a flush:
 //
