@@ -95,12 +95,17 @@ faults:
 assert-smoke:
 	$(GO) run ./cmd/faultbench -trials 1 -vulns 1 -require-detect=false
 
-# Short native-fuzzing pass over the assembler, the binary program decoder
-# and the RI TLB's index cipher (the checked-in corpora under testdata/fuzz
-# run in plain `go test`; this explores beyond them).
+# Short native-fuzzing pass over the assembler, the binary program decoder,
+# the trace codec, the checkpoint loader and the RI TLB's index cipher (the
+# checked-in corpora under testdata/fuzz and each target's seeds run in
+# plain `go test`; this explores beyond them). Every checkpoint input costs
+# file writes and reads, so minimizing a new input at the default 60s would
+# stall that target for most of its budget; it gets 5s.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzAssemble -fuzztime $(FUZZTIME) ./internal/asm/
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa/
+	$(GO) test -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzRandIdxCipher -fuzztime $(FUZZTIME) ./internal/tlb/
 
 # End-to-end daemon smoke: start tlbserved, submit a job over HTTP, SIGTERM

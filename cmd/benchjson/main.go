@@ -13,6 +13,16 @@
 // <base>FullExec is the full-execution twin of <base> or <base>TraceReplay,
 // whichever exists; the recorded speedup is the ratio of the two medians
 // (medians, not means, so a single noisy run cannot skew the record).
+//
+// With -compare <baseline.json> it also checks the new results against an
+// earlier report and exits 1 when a benchmark drifted: when its new median
+// lies outside the baseline's sample spread [min, max] and the baseline's
+// median lies outside the new spread, so that neither file's own run-to-run
+// noise covers the move. Every drifted benchmark is listed; benchmarks in
+// only one of the two files are reported but never fail the check.
+//
+//	go test -run xxx -bench 'Table4SecurityEvalRF' -benchtime 20x -count 5 . |
+//	    go run ./cmd/benchjson -compare BENCH_campaign.json
 package main
 
 import (
@@ -20,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -50,8 +61,9 @@ type Benchmark struct {
 	Name       string             `json:"name"`
 	Samples    int                `json:"samples"`
 	Iterations uint64             `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`     // median across samples
-	NsPerOpMin float64            `json:"ns_per_op_min"` // fastest sample
+	NsPerOp    float64            `json:"ns_per_op"`               // median across samples
+	NsPerOpMin float64            `json:"ns_per_op_min"`           // fastest sample
+	NsPerOpMax float64            `json:"ns_per_op_max,omitempty"` // slowest sample
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -76,6 +88,7 @@ type Report struct {
 
 func main() {
 	out := flag.String("out", "", "write the JSON report here instead of stdout")
+	baseline := flag.String("compare", "", "baseline JSON report: list benchmarks that drifted from it and exit 1 if any did")
 	flag.Parse()
 
 	report, err := parse(bufio.NewScanner(os.Stdin))
@@ -83,26 +96,106 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+	var base *Report
+	if *baseline != "" {
+		if base, err = load(*baseline); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
 	buf = append(buf, '\n')
-	if *out == "" {
+	switch {
+	case *out != "":
+		if err := os.WriteFile(*out, buf, 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		// Echo the headline numbers so `make bench` still reads like a benchmark.
+		for _, s := range report.Speedups {
+			fmt.Printf("%s: %.2fx (replay %.3fms, full %.3fms)\n",
+				s.Pair, s.Speedup, s.ReplayNsPerOp/1e6, s.FullNsPerOp/1e6)
+		}
+		fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(report.Benchmarks))
+	case base == nil:
 		os.Stdout.Write(buf)
-		return
 	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+	if base != nil {
+		lines, drifted := compare(base, report)
+		for _, l := range lines {
+			fmt.Println(l)
+		}
+		if drifted > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) drifted from %s\n", drifted, *baseline)
+			os.Exit(1)
+		}
 	}
-	// Echo the headline numbers so `make bench` still reads like a benchmark.
-	for _, s := range report.Speedups {
-		fmt.Printf("%s: %.2fx (replay %.3fms, full %.3fms)\n",
-			s.Pair, s.Speedup, s.ReplayNsPerOp/1e6, s.FullNsPerOp/1e6)
+}
+
+// load reads a JSON report written by an earlier run.
+func load(path string) (*Report, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(report.Benchmarks))
+	var r Report
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &r, nil
+}
+
+// spread is the range of a benchmark's samples. Reports written before the
+// slowest sample was recorded have no max; their spread ends at the median.
+func spread(b *Benchmark) (lo, hi float64) {
+	hi = b.NsPerOpMax
+	if hi < b.NsPerOp {
+		hi = b.NsPerOp
+	}
+	return b.NsPerOpMin, hi
+}
+
+// compare lists, for every benchmark of cur, how its median moved from base
+// and whether that counts as drift (see the package doc), and returns the
+// lines and the number of drifted benchmarks.
+func compare(base, cur *Report) (lines []string, drifted int) {
+	old := map[string]*Benchmark{}
+	for i := range base.Benchmarks {
+		old[base.Benchmarks[i].Name] = &base.Benchmarks[i]
+	}
+	seen := map[string]bool{}
+	for i := range cur.Benchmarks {
+		b := &cur.Benchmarks[i]
+		seen[b.Name] = true
+		a := old[b.Name]
+		if a == nil {
+			lines = append(lines, fmt.Sprintf("%s: new, %s", b.Name, dur(b.NsPerOp)))
+			continue
+		}
+		alo, ahi := spread(a)
+		blo, bhi := spread(b)
+		verdict := "within the spread"
+		if (b.NsPerOp < alo || b.NsPerOp > ahi) && (a.NsPerOp < blo || a.NsPerOp > bhi) {
+			verdict = "DRIFTED"
+			drifted++
+		}
+		change := 0.0
+		if a.NsPerOp > 0 {
+			change = 100 * (b.NsPerOp/a.NsPerOp - 1)
+		}
+		lines = append(lines, fmt.Sprintf("%s: %s -> %s (%+.1f%%), spreads [%s, %s] -> [%s, %s]: %s",
+			b.Name, dur(a.NsPerOp), dur(b.NsPerOp), change, dur(alo), dur(ahi), dur(blo), dur(bhi), verdict))
+	}
+	for i := range base.Benchmarks {
+		if name := base.Benchmarks[i].Name; !seen[name] {
+			lines = append(lines, fmt.Sprintf("%s: only in the baseline", name))
+		}
+	}
+	return lines, drifted
 }
 
 type lineScanner interface {
@@ -170,20 +263,18 @@ func parse(sc lineScanner) (*Report, error) {
 		ss := samples[name]
 		b := Benchmark{Name: name, Samples: len(ss)}
 		vals := make([]float64, len(ss))
-		min := ss[0].nsPerOp
+		min, max := ss[0].nsPerOp, ss[0].nsPerOp
 		units := map[string][]float64{}
 		for i, s := range ss {
 			vals[i] = s.nsPerOp
 			b.Iterations += s.iters
-			if s.nsPerOp < min {
-				min = s.nsPerOp
-			}
+			min, max = math.Min(min, s.nsPerOp), math.Max(max, s.nsPerOp)
 			for u, v := range s.metrics {
 				units[u] = append(units[u], v)
 			}
 		}
 		b.NsPerOp = median(vals)
-		b.NsPerOpMin = min
+		b.NsPerOpMin, b.NsPerOpMax = min, max
 		for u, vs := range units {
 			if b.Metrics == nil {
 				b.Metrics = map[string]float64{}
@@ -217,6 +308,17 @@ func parse(sc lineScanner) (*Report, error) {
 		})
 	}
 	return report, nil
+}
+
+// dur renders a ns/op figure in the unit that suits it.
+func dur(ns float64) string {
+	switch {
+	case ns >= 1e6:
+		return fmt.Sprintf("%.3fms", ns/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.3fus", ns/1e3)
+	}
+	return fmt.Sprintf("%.1fns", ns)
 }
 
 func median(vs []float64) float64 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -117,5 +118,61 @@ func TestParseNoProcsSuffix(t *testing.T) {
 func TestParseEmptyInputFails(t *testing.T) {
 	if _, err := parse(scan("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("want error on input with no benchmark lines")
+	}
+}
+
+// compareOutput is a later run against testdata/baseline.json: the RF
+// campaign slowed well past both spreads, the trace-replay campaign moved
+// inside the baseline's spread, Figure 7 (whose baseline predates the
+// recorded max, so its spread ends at the median) sped up past both, and
+// PrinceEncrypt is gone while RunAllSerial is new.
+const compareOutput = `cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkTable4SecurityEvalRF-2     	      20	   3100000 ns/op
+BenchmarkTable4SecurityEvalRF-2     	      20	   3000000 ns/op
+BenchmarkTable4SecurityEvalRF-2     	      20	   3200000 ns/op
+BenchmarkCampaignTraceReplay-2      	      20	   4650000 ns/op
+BenchmarkCampaignTraceReplay-2      	      20	   4400000 ns/op
+BenchmarkCampaignTraceReplay-2      	      20	   5000000 ns/op
+BenchmarkFigure7TraceReplay-2       	       5	  12000000 ns/op
+BenchmarkFigure7TraceReplay-2       	       5	  12500000 ns/op
+BenchmarkRunAllSerial-2             	      20	   2500000 ns/op
+`
+
+func TestCompareFlagsDriftOutsideBothSpreads(t *testing.T) {
+	base, err := load(filepath.Join("testdata", "baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := parse(scan(compareOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := cur.Benchmarks[0]; b.NsPerOpMin != 3000000 || b.NsPerOpMax != 3200000 {
+		t.Fatalf("RF spread = [%v, %v], want [3000000, 3200000]", b.NsPerOpMin, b.NsPerOpMax)
+	}
+	lines, drifted := compare(base, cur)
+	if drifted != 2 {
+		t.Errorf("drifted = %d, want 2 (RF and Figure 7)", drifted)
+	}
+	want := map[string]string{
+		"Table4SecurityEvalRF": "DRIFTED",
+		"CampaignTraceReplay":  "within the spread",
+		"Figure7TraceReplay":   "DRIFTED",
+		"RunAllSerial":         "new",
+		"PrinceEncrypt":        "only in the baseline",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for _, l := range lines {
+		name, rest, _ := strings.Cut(l, ":")
+		if w, ok := want[name]; !ok || !strings.Contains(rest, w) {
+			t.Errorf("line %q: want it to say %q", l, w)
+		}
+	}
+
+	// A run equal to its own baseline never drifts.
+	if _, n := compare(cur, cur); n != 0 {
+		t.Errorf("a report compared with itself drifted %d times", n)
 	}
 }

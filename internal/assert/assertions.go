@@ -34,6 +34,29 @@
 // coverage — for free the moment it implements tlb.Inspectable, and tightens
 // its own binding simply by declaring more capabilities.
 //
+// The array-wide assertions (lru-freshness, no-duplicate-tag,
+// set-index-consistency, sec-bit-confinement) are evaluated inductively,
+// as properties of state transitions: an assertion that held on the last
+// array the monitor validated can only break where the array has changed
+// since, so between full checks the monitor examines only the slots an
+// access changed, plus any slot that drifted while no access ran (a
+// CorruptEntry, a write through the unwrapped design). A whole-array check
+// runs on the first access after Wrap or CloneWith, after a monitored
+// flush, security-register write or context switch, after any violation,
+// on an access that begins with a design-initiated flush, when an access
+// or a drift changes more slots than the monitor tracks, and whenever the
+// registers the checks read (victim, secure region, whether a victim is
+// designated, a keyed design's index key) differ from the validated
+// array's. Pass or fail is exactly the whole-array verdict, and a violation
+// is always named by the whole-array form, so its detail is the same
+// either way. Designs built on tlb's array core also expose a write
+// generation that moves whenever an entry may have changed; while it has
+// not moved the monitor reuses its last validated snapshot as the next
+// access's pre-access snapshot instead of copying and comparing the array.
+// The diff of each access's pre- and post-access snapshots is always a
+// full compare, so an array write that failed to move the generation still
+// surfaces as a changed slot rather than going unchecked.
+//
 // Violations surface as a *Violation error satisfying
 // errors.Is(err, ErrViolation), which the resilient campaign runner
 // quarantines under the "invariant" kind. The layer is strictly opt-in: an
@@ -299,7 +322,7 @@ func checkSingleTransition(a *Access) error {
 	}
 	switch {
 	case a.Res.Hit:
-		idx := a.findPost(a.ASID, a.VPN)
+		idx := a.reqIdx
 		if idx < 0 {
 			return a.failf(NameSingleTransition, "hit reported for asid %d vpn %#x but the translation is not in the array", a.ASID, a.VPN)
 		}
@@ -324,14 +347,14 @@ func checkSingleTransition(a *Access) error {
 		if !a.PredOK {
 			return a.failf(NameSingleTransition, "%s reported a random fill but declares no random-fill engine", m.design)
 		}
-		idx := a.findPost(a.ASID, a.Res.RandomVPN)
+		idx := a.randIdx
 		if idx < 0 {
 			return a.failf(NameSingleTransition, "random fill reported for vpn %#x but the translation is not in the array (dropped fill)", a.Res.RandomVPN)
 		}
 		if n := a.NDiffs(); n != 1 || a.diffs[0] != idx {
 			return a.failf(NameSingleTransition, "random fill of vpn %#x changed %d slot(s) (want only the D' slot)", a.Res.RandomVPN, n)
 		}
-		if !a.Res.Filled && a.findPost(a.ASID, a.VPN) >= 0 {
+		if !a.Res.Filled && a.reqIdx >= 0 {
 			return a.failf(NameSingleTransition, "buffered request asid %d vpn %#x leaked into the array alongside its random fill", a.ASID, a.VPN)
 		}
 		if p := m.pre[idx]; p.Valid && p.ASID == a.ASID && p.VPN == a.Res.RandomVPN {
@@ -345,7 +368,7 @@ func checkSingleTransition(a *Access) error {
 		}
 		return a.checkEvictReport(idx)
 	case a.Res.Filled:
-		idx := a.findPost(a.ASID, a.VPN)
+		idx := a.reqIdx
 		if idx < 0 {
 			return a.failf(NameSingleTransition, "fill reported for asid %d vpn %#x but the translation is not in the array (dropped fill)", a.ASID, a.VPN)
 		}
@@ -367,7 +390,7 @@ func checkSingleTransition(a *Access) error {
 		if n := a.NDiffs(); n != 0 {
 			return a.failf(NameSingleTransition, "buffered no-fill access mutated %d slot(s)", n)
 		}
-		if a.findPost(a.ASID, a.VPN) >= 0 {
+		if a.reqIdx >= 0 {
 			return a.failf(NameSingleTransition, "no-fill buffer leaked asid %d vpn %#x into the array", a.ASID, a.VPN)
 		}
 		return nil
@@ -429,10 +452,75 @@ func (a *Access) checkEvictReport(idx int) error {
 	return nil
 }
 
+// The array-wide assertions — lru-freshness's stamp order and stamp
+// bounds, no-duplicate-tag, set-index-consistency and sec-bit-confinement —
+// each come in two forms with the same verdict. The whole-array form
+// scans every entry and builds the Violation. The changed-slot form runs
+// between full checks (see Monitor.Translate) and decides pass or fail from
+// the slots where post may differ from the base, the last array the whole
+// binding passed on: every pair of entries, and every entry, that it skips
+// was already checked in the base under the same registers. When it reports a violation the whole-array form runs to name
+// it, so details match a whole-array-only monitor byte for byte.
+
 func checkLRUFreshness(a *Access) error {
 	m := a.m
 	// Per-set stamps must form a strict order (a permutation): two valid
 	// entries of one set never share a stamp.
+	if m.full || m.changedSlotShares(false) {
+		if v := a.stampOrderAll(); v != nil {
+			return v
+		}
+	}
+	if a.Err != nil {
+		return nil
+	}
+	if a.AutoFlush {
+		// The array was rebuilt from empty this access: there is no
+		// pre-based victim choice or stamp ordering left to validate.
+		return nil
+	}
+	switch {
+	case a.Res.Hit:
+		idx := a.reqIdx
+		if idx < 0 {
+			return nil // single-transition's finding
+		}
+		if a.NDiffs() == 0 {
+			return a.failf(NameLRUFreshness, "hit on asid %d vpn %#x did not refresh the LRU stamp (stuck LRU)", a.ASID, a.VPN)
+		}
+		q := m.post[idx]
+		if q.Stamp <= m.pre[idx].Stamp {
+			return a.failf(NameLRUFreshness, "hit stamp went %d -> %d (not monotonic)", m.pre[idx].Stamp, q.Stamp)
+		}
+		if m.stampReached(m.post, idx, q.Stamp) {
+			if i := firstStampReaching(m.post, idx, q.Stamp); i >= 0 {
+				return a.failf(NameLRUFreshness, "hit entry's stamp %d is not the most recent (set %d way %d holds %d)", q.Stamp, i/m.ways, i%m.ways, m.post[i].Stamp)
+			}
+		}
+		return nil
+	case a.Res.RandomFilled:
+		idx := a.randIdx
+		if idx < 0 {
+			return nil
+		}
+		if p := m.pre[idx]; p.Valid && p.ASID == a.ASID && p.VPN == a.Res.RandomVPN {
+			return nil // collision refresh, not an install
+		}
+		return a.checkInstallLRU(idx, 0, m.ways)
+	case a.Res.Filled:
+		idx := a.reqIdx
+		if idx < 0 {
+			return nil
+		}
+		lo, hi := a.fillRange(a.ASID)
+		return a.checkInstallLRU(idx, lo, hi)
+	}
+	return nil
+}
+
+// stampOrderAll is the whole-array form of lru-freshness's stamp order.
+func (a *Access) stampOrderAll() error {
+	m := a.m
 	for s := 0; s < m.sets; s++ {
 		for w := 0; w < m.ways; w++ {
 			p := &m.post[s*m.ways+w]
@@ -447,50 +535,6 @@ func checkLRUFreshness(a *Access) error {
 			}
 		}
 	}
-	if a.Err != nil {
-		return nil
-	}
-	if a.AutoFlush {
-		// The array was rebuilt from empty this access: there is no
-		// pre-based victim choice or stamp ordering left to validate.
-		return nil
-	}
-	switch {
-	case a.Res.Hit:
-		idx := a.findPost(a.ASID, a.VPN)
-		if idx < 0 {
-			return nil // single-transition's finding
-		}
-		if a.NDiffs() == 0 {
-			return a.failf(NameLRUFreshness, "hit on asid %d vpn %#x did not refresh the LRU stamp (stuck LRU)", a.ASID, a.VPN)
-		}
-		q := m.post[idx]
-		if q.Stamp <= m.pre[idx].Stamp {
-			return a.failf(NameLRUFreshness, "hit stamp went %d -> %d (not monotonic)", m.pre[idx].Stamp, q.Stamp)
-		}
-		for i := range m.post {
-			if i != idx && m.post[i].Valid && m.post[i].Stamp >= q.Stamp {
-				return a.failf(NameLRUFreshness, "hit entry's stamp %d is not the most recent (set %d way %d holds %d)", q.Stamp, i/m.ways, i%m.ways, m.post[i].Stamp)
-			}
-		}
-		return nil
-	case a.Res.RandomFilled:
-		idx := a.findPost(a.ASID, a.Res.RandomVPN)
-		if idx < 0 {
-			return nil
-		}
-		if p := m.pre[idx]; p.Valid && p.ASID == a.ASID && p.VPN == a.Res.RandomVPN {
-			return nil // collision refresh, not an install
-		}
-		return a.checkInstallLRU(idx, 0, m.ways)
-	case a.Res.Filled:
-		idx := a.findPost(a.ASID, a.VPN)
-		if idx < 0 {
-			return nil
-		}
-		lo, hi := a.fillRange(a.ASID)
-		return a.checkInstallLRU(idx, lo, hi)
-	}
 	return nil
 }
 
@@ -504,16 +548,82 @@ func (a *Access) checkInstallLRU(idx, lo, hi int) error {
 		return a.failf(NameLRUFreshness, "fill chose set %d way %d, LRU policy requires way %d", s, idx%m.ways, want%m.ways)
 	}
 	q := m.post[idx]
-	for i := range m.pre {
-		if i != idx && m.pre[i].Valid && m.pre[i].Stamp >= q.Stamp {
+	if m.stampReached(m.pre, idx, q.Stamp) {
+		if i := firstStampReaching(m.pre, idx, q.Stamp); i >= 0 {
 			return a.failf(NameLRUFreshness, "fill stamp %d is not newer than resident stamp %d (set %d way %d)", q.Stamp, m.pre[i].Stamp, i/m.ways, i%m.ways)
 		}
 	}
 	return nil
 }
 
+// firstStampReaching is the whole-array form of the stamp bound: the first
+// flat index other than skip whose valid entry in snap has a stamp of at
+// least stamp, or -1.
+func firstStampReaching(snap []tlb.EntrySnapshot, skip int, stamp uint64) int {
+	for i := range snap {
+		if i != skip && snap[i].Valid && snap[i].Stamp >= stamp {
+			return i
+		}
+	}
+	return -1
+}
+
+// stampReached reports whether firstStampReaching(snap, skip, stamp) finds
+// an entry, where snap is this access's pre- or post-snapshot. Between full
+// checks it reads the base's stamp summary for every set neither skip nor a
+// changed slot lies in — snap equals the base there — and rescans the rest:
+// O(sets + ways) per touched set instead of O(entries).
+func (m *Monitor) stampReached(snap []tlb.EntrySnapshot, skip int, stamp uint64) bool {
+	if m.full {
+		return firstStampReaching(snap, skip, stamp) >= 0
+	}
+	skipSet := skip / m.ways
+	for s := 0; s < m.sets; s++ {
+		if s != skipSet && !m.touched(s) {
+			if mx := m.maxes[s]; mx.valid && mx.stamp >= stamp {
+				return true
+			}
+			continue
+		}
+		for i := s * m.ways; i < (s+1)*m.ways; i++ {
+			if i != skip && snap[i].Valid && snap[i].Stamp >= stamp {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// changedSlotShares is the changed-slot form of the two per-set pair
+// assertions: it reports whether the valid post-access entry of some
+// changed slot shares its (ASID, VPN) tag (tag set) or its stamp (tag
+// clear) with another valid way of its set. A pair of unchanged slots was
+// already checked in the base.
+func (m *Monitor) changedSlotShares(tag bool) bool {
+	for _, i := range m.changed[:m.nchanged] {
+		p := &m.post[i]
+		if !p.Valid {
+			continue
+		}
+		base := i - i%m.ways
+		for j := base; j < base+m.ways; j++ {
+			q := &m.post[j]
+			if j == i || !q.Valid {
+				continue
+			}
+			if tag && q.VPN == p.VPN && q.ASID == p.ASID || !tag && q.Stamp == p.Stamp {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func checkNoDuplicateTag(a *Access) error {
 	m := a.m
+	if !m.full && !m.changedSlotShares(true) {
+		return nil
+	}
 	for s := 0; s < m.sets; s++ {
 		for w := 0; w < m.ways; w++ {
 			p := &m.post[s*m.ways+w]
@@ -531,36 +641,68 @@ func checkNoDuplicateTag(a *Access) error {
 	return nil
 }
 
+// misplaced reports whether post[i] is a valid entry outside the set the
+// design's mapping indexes for it.
+func (m *Monitor) misplaced(i int) bool {
+	e := &m.post[i]
+	return e.Valid && m.indexFor(e.ASID, e.VPN) != i/m.ways
+}
+
 func checkSetIndexConsistency(a *Access) error {
 	m := a.m
+	if !m.full && !m.anyChanged(m.misplaced) {
+		return nil
+	}
 	for i := range m.post {
-		e := &m.post[i]
-		if !e.Valid {
-			continue
-		}
-		if want := m.indexFor(e.ASID, e.VPN); i/m.ways != want {
-			return a.failf(NameSetIndexConsistency, "entry for vpn %#x resides in set %d, indexes set %d", e.VPN, i/m.ways, want)
+		if m.misplaced(i) {
+			e := &m.post[i]
+			return a.failf(NameSetIndexConsistency, "entry for vpn %#x resides in set %d, indexes set %d", e.VPN, i/m.ways, m.indexFor(e.ASID, e.VPN))
 		}
 	}
 	return nil
 }
 
+// anyChanged is the changed-slot form of the per-entry assertions: it
+// reports whether bad holds for some changed slot.
+func (m *Monitor) anyChanged(bad func(i int) bool) bool {
+	for _, i := range m.changed[:m.nchanged] {
+		if bad(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// secBitEscaped reports whether post[i] is a valid entry whose Sec bit the
+// registers do not allow: no victim designated, another process's entry,
+// or a page outside the secure region.
+func (m *Monitor) secBitEscaped(i int) bool {
+	e := &m.post[i]
+	if !e.Valid || !e.Sec {
+		return false
+	}
+	r := &m.regs
+	return !r.hasVictim || e.ASID != r.victim ||
+		r.ssize == 0 || e.VPN < r.sbase || uint64(e.VPN-r.sbase) >= r.ssize
+}
+
 func checkSecBitConfinement(a *Access) error {
 	m := a.m
+	if !m.full && !m.anyChanged(m.secBitEscaped) {
+		return nil
+	}
 	for i := range m.post {
-		e := &m.post[i]
-		if !e.Valid || !e.Sec {
+		if !m.secBitEscaped(i) {
 			continue
 		}
-		if m.sec == nil || m.vic == nil || !m.vic.HasVictim() {
+		e, r := &m.post[i], &m.regs
+		if !r.hasVictim {
 			return a.failf(NameSecBitConfinement, "Sec bit set on asid %d vpn %#x but no victim is designated", e.ASID, e.VPN)
 		}
-		if victim := m.sec.Victim(); e.ASID != victim {
-			return a.failf(NameSecBitConfinement, "Sec bit set on asid %d entry (victim is %d) for vpn %#x", e.ASID, victim, e.VPN)
+		if e.ASID != r.victim {
+			return a.failf(NameSecBitConfinement, "Sec bit set on asid %d entry (victim is %d) for vpn %#x", e.ASID, r.victim, e.VPN)
 		}
-		if sbase, ssize := m.sec.SecureRegion(); ssize == 0 || e.VPN < sbase || uint64(e.VPN-sbase) >= ssize {
-			return a.failf(NameSecBitConfinement, "Sec-bit entry vpn %#x lies outside the secure region [%#x,%#x)", e.VPN, sbase, uint64(sbase)+ssize)
-		}
+		return a.failf(NameSecBitConfinement, "Sec-bit entry vpn %#x lies outside the secure region [%#x,%#x)", e.VPN, r.sbase, uint64(r.sbase)+r.ssize)
 	}
 	return nil
 }
@@ -735,7 +877,7 @@ func checkNoFillOnSecureMiss(a *Access) error {
 	if a.Res.Filled && !(a.Res.RandomFilled && a.Res.RandomVPN == a.VPN) {
 		return a.failf(NameNoFillOnSecureMiss, "secure-region miss for asid %d vpn %#x installed the requested translation", a.ASID, a.VPN)
 	}
-	if !a.Res.Filled && a.findPost(a.ASID, a.VPN) >= 0 {
+	if !a.Res.Filled && a.reqIdx >= 0 {
 		return a.failf(NameNoFillOnSecureMiss, "secure-region request asid %d vpn %#x leaked into the array", a.ASID, a.VPN)
 	}
 	return nil

@@ -75,6 +75,14 @@ type victimReporter interface {
 	HasVictim() bool
 }
 
+// generational is the array's write generation (tlb's array core declares
+// it): while Generation is unchanged, so is every entry SnapshotAppend
+// would copy. It lets the monitor reuse its last validated snapshot as the
+// next access's pre-snapshot instead of copying and comparing the array.
+type generational interface {
+	Generation() uint64
+}
+
 // fillStarver reports whether a random-fill engine may currently starve
 // (skip) a prescribed fill for legitimate reasons — the RF design's
 // ablation-only lazy mode. While it may, the suppressed-fill arm of the
@@ -126,13 +134,39 @@ type Monitor struct {
 	auto    AutoFlusher
 	swf     switchFlusher
 	aobs    tlb.ASIDObserver
+	gen     generational
 
 	setIdx              func(tlb.VPN) int
 	entries, ways, sets int
 
-	binding   Binding
-	pre, post []tlb.EntrySnapshot
-	events    []Event
+	binding Binding
+	// pre and post are the current operation's snapshots, held in two
+	// buffers that trade places: last, the previous access's post-snapshot,
+	// and spare. pre is a fresh copy in spare or, when nothing wrote the
+	// array since, last itself; post then goes to whichever buffer pre is
+	// not, and becomes last.
+	pre, post   []tlb.EntrySnapshot
+	last, spare []tlb.EntrySnapshot
+	events      []Event
+
+	// Inductive evaluation state (see Translate). last is the base while
+	// baseOK: the most recent post-access snapshot the whole binding passed
+	// on. lastGen and baseRegs are the design's write generation and
+	// security registers when it was taken, maxes its per-set stamp summary.
+	baseOK   bool
+	lastGen  uint64
+	baseRegs secRegs
+	maxes    []setMax
+	// full reports that the current access runs the whole-array forms of
+	// the array-wide assertions; otherwise they check only changed, the
+	// slots where post may differ from the base (the drifted slots, then
+	// the access's own diffs).
+	full     bool
+	regs     secRegs
+	drift    [4]int
+	ndrift   int
+	changed  [8]int
+	nchanged int
 
 	// acc and fl are the reused per-operation assertion contexts. They live
 	// in the Monitor so passing their address to assertion functions does
@@ -184,6 +218,7 @@ func Wrap(t tlb.TLB, walker tlb.Walker, opts Options) (*Monitor, error) {
 	m.auto, _ = t.(AutoFlusher)
 	m.swf, _ = t.(switchFlusher)
 	m.aobs, _ = t.(tlb.ASIDObserver)
+	m.gen, _ = t.(generational)
 	if sm, ok := t.(SetMapper); ok {
 		m.setIdx = sm.SetIndex
 	} else {
@@ -191,8 +226,9 @@ func Wrap(t tlb.TLB, walker tlb.Walker, opts Options) (*Monitor, error) {
 		m.setIdx = func(vpn tlb.VPN) int { return int(uint64(vpn) % sets) }
 	}
 	m.binding = BindingFor(t, opts.CrossCheck)
-	m.pre = make([]tlb.EntrySnapshot, 0, m.entries)
-	m.post = make([]tlb.EntrySnapshot, 0, m.entries)
+	m.last = make([]tlb.EntrySnapshot, 0, m.entries)
+	m.spare = make([]tlb.EntrySnapshot, 0, m.entries)
+	m.maxes = make([]setMax, m.sets)
 	m.events = make([]Event, 0, 8)
 	m.acc.m = m
 	m.fl.m = m
@@ -216,19 +252,52 @@ func (m *Monitor) Inner() tlb.TLB { return m.inner }
 // Binding returns the assertion binding in effect for the wrapped design.
 func (m *Monitor) Binding() Binding { return m.binding }
 
-// domainOf derives the security domain of (asid, vpn) from the inner
-// design's security registers.
-func (m *Monitor) domainOf(asid tlb.ASID, vpn tlb.VPN) Domain {
-	if m.sec == nil || m.vic == nil || !m.vic.HasVictim() {
+// secRegs are the design registers the array-wide assertions read: the
+// security registers (sec-bit-confinement) and a keyed design's index key
+// (set-index-consistency). The monitor reads them once per operation —
+// campaign code may write them on the inner design directly (Unwrap) — and
+// runs the whole-array checks whenever they differ from the base's.
+type secRegs struct {
+	victim    tlb.ASID
+	hasVictim bool // a secure design reports a victim designated (victimReporter)
+	sbase     tlb.VPN
+	ssize     uint64
+	key       uint64
+}
+
+// readRegs reads the inner design's registers.
+func (m *Monitor) readRegs() secRegs {
+	var r secRegs
+	if m.sec != nil {
+		r.victim = m.sec.Victim()
+		r.sbase, r.ssize = m.sec.SecureRegion()
+		r.hasVictim = m.vic != nil && m.vic.HasVictim()
+	}
+	if m.keyed != nil {
+		r.key = m.keyed.IndexKey()
+	}
+	return r
+}
+
+// domain derives the security domain of (asid, vpn) from the registers.
+func (r *secRegs) domain(asid tlb.ASID, vpn tlb.VPN) Domain {
+	if !r.hasVictim {
 		return DomainNone
 	}
-	if asid != m.sec.Victim() {
+	if asid != r.victim {
 		return DomainAttacker
 	}
-	if sbase, ssize := m.sec.SecureRegion(); ssize > 0 && vpn >= sbase && uint64(vpn-sbase) < ssize {
+	if r.ssize > 0 && vpn >= r.sbase && uint64(vpn-r.sbase) < r.ssize {
 		return DomainSecure
 	}
 	return DomainVictim
+}
+
+// setMax summarizes one set of the base for the array-wide stamp bounds: the
+// largest stamp of a valid entry, and whether the set holds one.
+type setMax struct {
+	stamp uint64
+	valid bool
 }
 
 // indexFor is the monitor's set dispatch: the design's keyed mapping when it
@@ -281,6 +350,12 @@ type Access struct {
 	m      *Monitor
 	diffs  [4]int // flat indices that changed, capped (one is already the legal max)
 	ndiffs int
+
+	// Per-access facts, derived once after the access: the set the design's
+	// mapping indexes for the request and for a random fill's D', and the
+	// flat indices of their valid post-access entries (-1 when absent; both
+	// -1 for D' when there was no random fill).
+	reqSet, reqIdx, randSet, randIdx int
 }
 
 // Pre returns the pre-access array snapshot, set-major.
@@ -300,12 +375,11 @@ func (a *Access) Diffs() []int { return a.diffs[:a.ndiffs] }
 // NDiffs returns the (capped) number of changed slots.
 func (a *Access) NDiffs() int { return a.ndiffs }
 
-// findPost returns the flat index of the valid entry for (asid, vpn) in the
-// post-access snapshot, or -1. It searches the set the design's own mapping
-// indexes.
-func (a *Access) findPost(asid tlb.ASID, vpn tlb.VPN) int {
+// findPost returns the flat index of the valid entry for (asid, vpn) in set
+// s of the post-access snapshot, or -1. Callers pass the set the design's
+// own mapping indexes.
+func (a *Access) findPost(s int, asid tlb.ASID, vpn tlb.VPN) int {
 	m := a.m
-	s := m.indexFor(asid, vpn)
 	for w := 0; w < m.ways; w++ {
 		i := s*m.ways + w
 		e := &m.post[i]
@@ -372,12 +446,31 @@ func (f *FlushInfo) failf(format string, args ...any) error {
 // design, derives the event stream, and evaluates the binding over the
 // transition. A detected violation is returned in place of the design's own
 // (nil) error.
+//
+// The array-wide assertions are evaluated inductively against the base,
+// the most recent post-snapshot the whole binding passed on (see the
+// package doc). A violation drops that base, as do the flushes, register writes
+// and context switches below, so the next access checks the whole array;
+// so does an access that begins with a design-initiated flush, whose diff
+// or drift fills its cap, or whose registers differ from the base's.
 func (m *Monitor) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 	if p := m.pending; p != nil {
 		m.pending = nil
 		return tlb.Result{}, p
 	}
-	m.pre = m.insp.SnapshotAppend(m.pre[:0])
+	// The base holds again only once this access's post-snapshot passes.
+	full := !m.baseOK
+	m.baseOK = false
+	m.ndrift = 0
+	postBuf := m.last
+	if !full && m.gen != nil && m.gen.Generation() == m.lastGen {
+		m.pre, postBuf = m.last, m.spare
+	} else {
+		m.pre = m.insp.SnapshotAppend(m.spare[:0])
+		if !full {
+			full = m.findDrift()
+		}
+	}
 
 	a := &m.acc
 	a.ASID, a.VPN = asid, vpn
@@ -404,14 +497,20 @@ func (m *Monitor) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 	}
 
 	res, err := m.inner.Translate(asid, vpn)
-	m.post = m.insp.SnapshotAppend(m.post[:0])
+	m.post = m.insp.SnapshotAppend(postBuf[:0])
+	m.last, m.spare = m.post, m.pre
+	var postGen uint64
+	if m.gen != nil {
+		postGen = m.gen.Generation()
+	}
 	m.Checks++
+	m.regs = m.readRegs()
 	if m.keyed != nil {
-		a.PostEpoch, a.PostKey = m.keyed.RekeyEpoch(), m.keyed.IndexKey()
+		a.PostEpoch, a.PostKey = m.keyed.RekeyEpoch(), m.regs.key
 	}
 
 	a.Res, a.Err = res, err
-	a.Domain = m.domainOf(asid, vpn)
+	a.Domain = m.regs.domain(asid, vpn)
 	a.ndiffs = 0
 	for i := range m.post {
 		if m.post[i] != m.pre[i] {
@@ -421,6 +520,20 @@ func (m *Monitor) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 			a.diffs[a.ndiffs] = i
 			a.ndiffs++
 		}
+	}
+	a.reqSet = m.indexFor(asid, vpn)
+	a.reqIdx = a.findPost(a.reqSet, asid, vpn)
+	a.randSet, a.randIdx = -1, -1
+	if res.RandomFilled {
+		a.randSet = m.indexFor(asid, res.RandomVPN)
+		a.randIdx = a.findPost(a.randSet, asid, res.RandomVPN)
+	}
+	m.full = full || a.AutoFlush || a.ndiffs == len(a.diffs) || m.regs != m.baseRegs
+	if !m.full {
+		// The slots where post may differ from the base: the drift, then
+		// the access's own diffs.
+		n := copy(m.changed[:], m.drift[:m.ndrift])
+		m.nchanged = n + copy(m.changed[n:], a.diffs[:a.ndiffs])
 	}
 	m.deriveEvents(a)
 
@@ -433,7 +546,72 @@ func (m *Monitor) Translate(asid tlb.ASID, vpn tlb.VPN) (tlb.Result, error) {
 			return res, v
 		}
 	}
+	m.accept(postGen)
 	return res, err
+}
+
+// findDrift compares a fresh pre-snapshot with the base in last, recording
+// the slots that differ in drift. It reports whether there are more than
+// drift holds, in which case the access runs the whole-array checks.
+func (m *Monitor) findDrift() bool {
+	for i := range m.pre {
+		if m.pre[i] != m.last[i] {
+			if m.ndrift == len(m.drift) {
+				return true
+			}
+			m.drift[m.ndrift] = i
+			m.ndrift++
+		}
+	}
+	return false
+}
+
+// touched reports whether set s holds a changed slot.
+func (m *Monitor) touched(s int) bool {
+	lo := s * m.ways
+	for _, i := range m.changed[:m.nchanged] {
+		if i >= lo && i < lo+m.ways {
+			return true
+		}
+	}
+	return false
+}
+
+// accept makes the access's post-snapshot, now last, the base once the
+// whole binding passed on it, and refreshes the stamp summary for every
+// set (after a full check) or for the sets the access touched. A
+// changed slot now holding the newest stamp of its set — a hit's refresh,
+// a fill — raises the set's summary in place; any other change rescans the
+// set, as the slot may have held its maximum.
+func (m *Monitor) accept(postGen uint64) {
+	m.lastGen = postGen
+	m.baseRegs = m.regs
+	m.baseOK = true
+	if m.full {
+		for s := range m.maxes {
+			m.summarize(s)
+		}
+		return
+	}
+	for _, i := range m.changed[:m.nchanged] {
+		mx := &m.maxes[i/m.ways]
+		if e := &m.last[i]; e.Valid && (!mx.valid || e.Stamp >= mx.stamp) {
+			*mx = setMax{stamp: e.Stamp, valid: true}
+		} else {
+			m.summarize(i / m.ways)
+		}
+	}
+}
+
+// summarize recomputes set s's stamp summary from last, the new base.
+func (m *Monitor) summarize(s int) {
+	var mx setMax
+	for _, e := range m.last[s*m.ways : (s+1)*m.ways] {
+		if e.Valid && (!mx.valid || e.Stamp > mx.stamp) {
+			mx = setMax{stamp: e.Stamp, valid: true}
+		}
+	}
+	m.maxes[s] = mx
 }
 
 // deriveEvents translates one access's Result into the typed event stream.
@@ -442,14 +620,14 @@ func (m *Monitor) deriveEvents(a *Access) {
 	if a.AutoFlush {
 		m.emit(Event{Kind: KindAutoFlush, ASID: a.ASID, VPN: a.VPN, Set: -1, Way: -1, Domain: a.Domain})
 	}
-	set := m.indexFor(a.ASID, a.VPN)
+	set := a.reqSet
 	switch {
 	case a.Err != nil:
 		m.emit(Event{Kind: KindError, ASID: a.ASID, VPN: a.VPN, Set: set, Way: -1, Domain: a.Domain})
 	case a.Res.Hit:
 		way := -1
-		if i := a.findPost(a.ASID, a.VPN); i >= 0 {
-			way = i % m.ways
+		if a.reqIdx >= 0 {
+			way = a.reqIdx % m.ways
 		}
 		m.emit(Event{Kind: KindHit, ASID: a.ASID, VPN: a.VPN, PPN: a.Res.PPN, Set: set, Way: way, Domain: a.Domain})
 	default:
@@ -458,16 +636,16 @@ func (m *Monitor) deriveEvents(a *Access) {
 		case a.Res.RandomFilled:
 			// The RF TLB reports at most one eviction per access: the one
 			// its D' install caused.
-			rset, rway := m.indexFor(a.ASID, a.Res.RandomVPN), -1
-			if i := a.findPost(a.ASID, a.Res.RandomVPN); i >= 0 {
+			rset, rway := a.randSet, -1
+			if i := a.randIdx; i >= 0 {
 				rset, rway = i/m.ways, i%m.ways
 			}
 			m.emitEvict(a, rset, rway)
-			m.emit(Event{Kind: KindRandomFill, ASID: a.ASID, VPN: a.Res.RandomVPN, Set: rset, Way: rway, Domain: m.domainOf(a.ASID, a.Res.RandomVPN)})
+			m.emit(Event{Kind: KindRandomFill, ASID: a.ASID, VPN: a.Res.RandomVPN, Set: rset, Way: rway, Domain: m.regs.domain(a.ASID, a.Res.RandomVPN)})
 		case a.Res.Filled:
 			way := -1
-			if i := a.findPost(a.ASID, a.VPN); i >= 0 {
-				way = i % m.ways
+			if a.reqIdx >= 0 {
+				way = a.reqIdx % m.ways
 			}
 			m.emitEvict(a, set, way)
 			m.emit(Event{Kind: KindFill, ASID: a.ASID, VPN: a.VPN, PPN: a.Res.PPN, Set: set, Way: way, Domain: a.Domain})
@@ -485,7 +663,7 @@ func (m *Monitor) emitEvict(a *Access, set, way int) {
 	}
 	m.emit(Event{
 		Kind: KindEvict, ASID: a.Res.EvictedASID, VPN: a.Res.EvictedVPN,
-		Set: set, Way: way, Domain: m.domainOf(a.Res.EvictedASID, a.Res.EvictedVPN),
+		Set: set, Way: way, Domain: m.regs.domain(a.Res.EvictedASID, a.Res.EvictedVPN),
 	})
 }
 
@@ -498,11 +676,15 @@ func (m *Monitor) recordPending(v error) {
 }
 
 // afterFlush re-snapshots the array, emits the flush event and evaluates the
-// binding's flush assertions, recording the first violation as pending.
+// binding's flush assertions, recording the first violation as pending. The
+// next access runs the whole-array checks.
 func (m *Monitor) afterFlush(kind Kind, asid tlb.ASID, vpn tlb.VPN) {
-	m.post = m.insp.SnapshotAppend(m.post[:0])
+	m.baseOK = false
+	m.post = m.insp.SnapshotAppend(m.spare[:0])
+	m.spare = m.post
+	m.regs = m.readRegs()
 	m.events = m.events[:0]
-	m.emit(Event{Kind: kind, ASID: asid, VPN: vpn, Set: -1, Way: -1, Domain: m.domainOf(asid, vpn)})
+	m.emit(Event{Kind: kind, ASID: asid, VPN: vpn, Set: -1, Way: -1, Domain: m.regs.domain(asid, vpn)})
 	f := &m.fl
 	f.Kind, f.ASID, f.VPN = kind, asid, vpn
 	for i := range m.binding.Assertions {
@@ -565,8 +747,10 @@ func (m *Monitor) Name() string { return m.design }
 // SetVictim implements tlb.SecureTLB, forwarding to the inner design when it
 // is secure and doing nothing otherwise (the SA TLB ignores the security
 // CSRs exactly the same way). The register write is emitted as an event
-// either way — the stream reflects what software requested.
+// either way — the stream reflects what software requested — and the next
+// access runs the whole-array checks.
 func (m *Monitor) SetVictim(asid tlb.ASID) {
+	m.baseOK = false
 	if m.sec != nil {
 		m.sec.SetVictim(asid)
 	}
@@ -576,6 +760,7 @@ func (m *Monitor) SetVictim(asid tlb.ASID) {
 
 // SetSecureRegion implements tlb.SecureTLB.
 func (m *Monitor) SetSecureRegion(sbase tlb.VPN, ssize uint64) {
+	m.baseOK = false
 	if m.sec != nil {
 		m.sec.SetSecureRegion(sbase, ssize)
 	}
@@ -601,7 +786,8 @@ func (m *Monitor) SecureRegion() (tlb.VPN, uint64) {
 
 // ObserveASID implements tlb.ASIDObserver, forwarding the context switch to
 // the inner design when it observes switches and doing nothing otherwise (so
-// a wrapped design sees exactly the CSR traffic an unwrapped one would).
+// a wrapped design sees exactly the CSR traffic an unwrapped one would). A
+// forwarded switch makes the next access run the whole-array checks.
 // When the design declares a switch flush (switchFlusher), the monitor
 // predicts it before forwarding and verifies afterwards that the flush was
 // complete — the SIMF semantics say the erasure must happen at the switch
@@ -613,12 +799,14 @@ func (m *Monitor) ObserveASID(next tlb.ASID) {
 	}
 	pending := m.swf != nil && m.swf.PendingSwitchFlush(next)
 	m.aobs.ObserveASID(next)
+	m.baseOK = false
 	m.events = m.events[:0]
 	m.emit(Event{Kind: KindContextSwitch, ASID: next, Set: -1, Way: -1})
 	if !pending {
 		return
 	}
-	m.post = m.insp.SnapshotAppend(m.post[:0])
+	m.post = m.insp.SnapshotAppend(m.spare[:0])
+	m.spare = m.post
 	for i := range m.post {
 		if e := &m.post[i]; e.Valid {
 			m.recordPending(&Violation{

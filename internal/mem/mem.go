@@ -41,18 +41,28 @@ type Memory struct {
 	// zero-overhead case); after a Clone both sides start owning nothing and
 	// copy a page on first write.
 	owned map[uint64]bool
-	// lastPPN/lastPage cache the most recently accessed page, short-cutting
-	// the map lookup on the page-walk and data paths where consecutive
-	// accesses hit the same page (e.g. the three PTE reads of a walk within
-	// one table, or a pointer-chasing loop).
-	lastPPN  uint64
-	lastPage *[WordsPerPage]uint64
+	// cache holds recently accessed pages, direct-mapped by the low bits of
+	// the page number, short-cutting the map lookup on the page-walk and
+	// data paths. A three-level walk reads three table pages in turn, so a
+	// single cached page would miss on every PTE read of it; eight slots
+	// keep a walk's tables and the data pages around them resident.
+	cache [pageCacheSlots]cachedPage
 	// Reads and Writes count accesses, for diagnostics and tests.
 	Reads  uint64
 	Writes uint64
 	// loadHook, when set, may rewrite the value returned by Load64 (fault
 	// injection: in-DRAM bit rot). See SetLoadHook.
 	loadHook LoadHook
+}
+
+// pageCacheSlots is the number of page-cache slots; a power of two.
+const pageCacheSlots = 8
+
+// cachedPage is one page-cache slot: the page number and its frame, or a
+// nil frame when the slot is empty.
+type cachedPage struct {
+	ppn  uint64
+	page *[WordsPerPage]uint64
 }
 
 // LoadHook intercepts 64-bit loads for fault injection: it receives the
@@ -80,12 +90,13 @@ func (m *Memory) Latency() uint64 { return m.latency }
 // must not write through the result.
 func (m *Memory) page(paddr uint64) *[WordsPerPage]uint64 {
 	ppn := paddr >> PageShift
-	if m.lastPage != nil && m.lastPPN == ppn {
-		return m.lastPage
+	c := &m.cache[ppn&(pageCacheSlots-1)]
+	if c.page != nil && c.ppn == ppn {
+		return c.page
 	}
 	p := m.pages[ppn]
 	if p != nil {
-		m.lastPPN, m.lastPage = ppn, p
+		*c = cachedPage{ppn, p}
 	}
 	return p
 }
@@ -107,7 +118,7 @@ func (m *Memory) pageForWrite(paddr uint64) *[WordsPerPage]uint64 {
 	if m.owned != nil {
 		m.owned[ppn] = true
 	}
-	m.lastPPN, m.lastPage = ppn, p
+	m.cache[ppn&(pageCacheSlots-1)] = cachedPage{ppn, p}
 	return p
 }
 
@@ -150,7 +161,7 @@ func (m *Memory) AllocatedPages() int { return len(m.pages) }
 func (m *Memory) Reset() {
 	m.pages = make(map[uint64]*[WordsPerPage]uint64)
 	m.owned = nil
-	m.lastPage, m.lastPPN = nil, 0
+	m.cache = [pageCacheSlots]cachedPage{}
 	m.Reads, m.Writes = 0, 0
 }
 
@@ -166,7 +177,7 @@ func (m *Memory) Reset() {
 func (m *Memory) Clone() *Memory {
 	// After a clone neither side owns the shared frames.
 	m.owned = make(map[uint64]bool, len(m.pages))
-	m.lastPage, m.lastPPN = nil, 0
+	m.cache = [pageCacheSlots]cachedPage{}
 	pages := make(map[uint64]*[WordsPerPage]uint64, len(m.pages))
 	for ppn, p := range m.pages {
 		pages[ppn] = p

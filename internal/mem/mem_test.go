@@ -190,6 +190,82 @@ func TestQuickDistinctAddressesIndependent(t *testing.T) {
 	}
 }
 
+// TestPageCacheCoherentAcrossCloneAndReset fills more pages than the page
+// cache has slots, two of them sharing a slot, and reads them all through
+// the cache on both sides of a Clone. A page each side then writes, while
+// both caches hold it, must be seen through the cache only on the side that
+// wrote it, both at once and after every other page has cycled through the
+// slots. Reset must leave every slot empty.
+func TestPageCacheCoherentAcrossCloneAndReset(t *testing.T) {
+	const pages = pageCacheSlots + 4 // pages 1 and 1+pageCacheSlots share a slot
+	addr := func(p int) uint64 { return uint64(p)<<PageShift | 8 }
+	load := func(m *Memory, p int) uint64 {
+		t.Helper()
+		v, _, err := m.Load64(addr(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	m := New(0)
+	for p := 0; p < pages; p++ {
+		m.Store64(addr(p), uint64(100+p))
+	}
+	c := m.Clone()
+	for p := 0; p < pages; p++ {
+		if got, got2 := load(m, p), load(c, p); got != uint64(100+p) || got2 != uint64(100+p) {
+			t.Fatalf("page %d after Clone: original %d, clone %d, want %d", p, got, got2, 100+p)
+		}
+	}
+	want := func(p int) (orig, clone uint64) {
+		orig, clone = uint64(100+p), uint64(100+p)
+		switch p {
+		case 1:
+			clone = 7
+		case 1 + pageCacheSlots:
+			orig = 9
+		}
+		return orig, clone
+	}
+	check := func(when string, p int) {
+		t.Helper()
+		wm, wc := want(p)
+		if got := load(m, p); got != wm {
+			t.Errorf("%s: original page %d = %d, want %d", when, p, got, wm)
+		}
+		if got := load(c, p); got != wc {
+			t.Errorf("%s: clone page %d = %d, want %d", when, p, got, wc)
+		}
+	}
+	load(m, 1)
+	load(c, 1) // both caches now hold page 1
+	c.Store64(addr(1), 7)
+	check("right after the clone's write", 1)
+	load(m, 1+pageCacheSlots)
+	load(c, 1+pageCacheSlots)
+	m.Store64(addr(1+pageCacheSlots), 9)
+	check("right after the original's write", 1+pageCacheSlots)
+	for round := 0; round < 2; round++ {
+		for p := 0; p < pages; p++ {
+			check("after both writes", p)
+		}
+	}
+	m.Reset()
+	for i, slot := range m.cache {
+		if slot.page != nil {
+			t.Errorf("after Reset, page-cache slot %d still holds page %d", i, slot.ppn)
+		}
+	}
+	for p := 0; p < pages; p++ {
+		if got := load(m, p); got != 0 {
+			t.Errorf("after Reset, page %d reads %d, want 0", p, got)
+		}
+	}
+	if got := load(c, 1); got != 7 {
+		t.Errorf("clone page 1 = %d after the original's Reset, want 7", got)
+	}
+}
+
 func BenchmarkClone(b *testing.B) {
 	// A realistic campaign footprint: a few hundred touched pages.
 	m := New(DefaultLatency)

@@ -45,6 +45,9 @@ type array struct {
 	stats   Stats
 	hook    *FaultHook
 	kind    string // design prefix of Name, e.g. "SA"
+	// writes counts writes to backing outside translate (see Generation).
+	// No lookup reads it, so it sits after every field a lookup does.
+	writes uint64
 }
 
 // link is one node of a set's recency lists: nodes 0..ways-1 are the ways,
@@ -131,6 +134,7 @@ func (a *array) FlushAll() {
 	clear(a.tags)
 	clear(a.ids)
 	copy(a.order, a.fresh)
+	a.writes++
 	a.stats.Flushes++
 }
 
@@ -149,6 +153,7 @@ func (a *array) FlushASID(asid ASID) {
 			a.rebuild(s)
 		}
 	}
+	a.writes++
 	a.stats.Flushes++
 }
 
@@ -156,6 +161,16 @@ func (a *array) FlushASID(asid ASID) {
 func (a *array) SnapshotAppend(dst []EntrySnapshot) []EntrySnapshot {
 	return append(dst, a.backing...)
 }
+
+// Generation returns the array's write generation: while it is unchanged,
+// so is every entry SnapshotAppend would copy. It costs the lookup path
+// nothing: every translate already advances the LRU clock before it can
+// write an entry, and the writers that run outside a translate — FlushAll,
+// FlushASID, sync (and so put, CorruptEntry and SP's repartition) — advance
+// writes. Both counters only grow, so their sum moves whenever either does.
+// The assertion monitor compares generations to skip re-snapshotting an
+// array nothing wrote since its last check.
+func (a *array) Generation() uint64 { return a.clock + a.writes }
 
 // CorruptEntry implements Inspectable. The corruption may change any field,
 // so the way's match shadow is re-derived and its set's recency lists are
@@ -310,8 +325,9 @@ func (a *array) put(s, w int, e entry) {
 	a.place(s, w)
 }
 
-// sync re-derives the match shadow of backing[i].
+// sync re-derives the match shadow of backing[i] after a write to it.
 func (a *array) sync(i int) {
+	a.writes++
 	if e := &a.backing[i]; e.Valid {
 		a.tags[i], a.ids[i] = e.VPN, idOf(e.ASID)
 	} else {

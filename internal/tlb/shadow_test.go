@@ -217,10 +217,12 @@ func TestScanMatchesFusedReference(t *testing.T) {
 
 // TestShadowsTrackBacking runs random operation sequences through every
 // writer of the array core — fills and hits, the four flushes, CorruptEntry
-// on VPN, ASID, Stamp and Valid, FillDrop and FillDuplicate faults, the
-// stuck-LRU hook, clones, SP repartitions, RI re-keys and FS switch
+// on VPN, ASID, Stamp, Valid and Sec, FillDrop and FillDuplicate faults,
+// the stuck-LRU hook, clones, SP repartitions, RI re-keys and FS switch
 // flushes — and after every operation rebuilds the match shadow and the
-// recency lists from backing and compares.
+// recency lists from backing and compares. It also checks the write
+// generation's contract: an operation that leaves Generation unchanged
+// leaves SnapshotAppend unchanged.
 func TestShadowsTrackBacking(t *testing.T) {
 	w := cloneWalker()
 	designs := []struct {
@@ -275,9 +277,12 @@ func TestShadowsTrackBacking(t *testing.T) {
 					OnFill:     func(int, int) FillAction { return fillAction },
 					OnLRUTouch: func(int, int) bool { return !stuck },
 				}
+				var before, after []EntrySnapshot
 				for step := 0; step < 300; step++ {
 					asid, vpn := ASID(rng.Intn(3)), VPN(rng.Intn(24))
 					insp := tl.(Inspectable)
+					gen := coreOf(t, tl).Generation()
+					before = insp.SnapshotAppend(before[:0])
 					var did string
 					switch k := rng.Intn(20); {
 					case k < 9:
@@ -303,7 +308,7 @@ func TestShadowsTrackBacking(t *testing.T) {
 					case k == 14:
 						did = "corrupt"
 						ways := tl.Ways()
-						field := rng.Intn(4)
+						field := rng.Intn(5)
 						v := rng.Intn(24)
 						insp.CorruptEntry(rng.Intn(tl.Entries()/ways), rng.Intn(ways), func(e *EntrySnapshot) {
 							switch field {
@@ -315,6 +320,8 @@ func TestShadowsTrackBacking(t *testing.T) {
 								e.Stamp = uint64(v) * coreOf(t, tl).clock / 12
 							case 3:
 								e.Valid = false
+							case 4:
+								e.Sec = !e.Sec
 							}
 						})
 					case k == 15:
@@ -346,6 +353,10 @@ func TestShadowsTrackBacking(t *testing.T) {
 						}
 					}
 					checkShadows(t, coreOf(t, tl), d.name+" after "+did)
+					after = tl.(Inspectable).SnapshotAppend(after[:0])
+					if coreOf(t, tl).Generation() == gen && !slices.Equal(before, after) {
+						t.Fatalf("%s after %s: the array changed but its generation stayed %d", d.name, did, gen)
+					}
 				}
 			}
 		})

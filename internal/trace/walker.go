@@ -95,6 +95,9 @@ func (w *MemoWalker) walkDense(e *memoEnt, asid tlb.ASID, vpn tlb.VPN) (tlb.PPN,
 		e.ppn, e.cycles, e.state = uint32(ppn), uint16(cycles), memoFast
 		return ppn, cycles, nil
 	}
+	if uint64(vpn) >= spillVPNs {
+		return ppn, cycles, err // not memoizable: walked again next time
+	}
 	if w.slow == nil {
 		w.slow = make(map[uint64]*memoSlowEnt)
 	}
@@ -105,6 +108,9 @@ func (w *MemoWalker) walkDense(e *memoEnt, asid tlb.ASID, vpn tlb.VPN) (tlb.PPN,
 
 // walkSpill handles addresses outside the dense window.
 func (w *MemoWalker) walkSpill(asid tlb.ASID, vpn tlb.VPN) (tlb.PPN, uint64, error) {
+	if uint64(vpn) >= spillVPNs {
+		return w.pt.Walk(asid, vpn)
+	}
 	k := spillKey(asid, vpn)
 	if e, ok := w.slow[k]; ok {
 		return e.ppn, e.cycles, e.err
@@ -118,6 +124,14 @@ func (w *MemoWalker) walkSpill(asid tlb.ASID, vpn tlb.VPN) (tlb.PPN, uint64, err
 	return e.ppn, e.cycles, e.err
 }
 
+// spillVPNs bounds the VPNs the slow map holds: spillKey packs the VPN into
+// the low 48 bits of its key. Pages at or above it — past any simulated
+// address space — are walked every time instead, since the walk names the
+// full VPN in its page-fault errors and two pages agreeing in their low
+// bits must not share an entry.
+const spillVPNs = 1 << 48
+
+// spillKey is the slow map's key for (asid, vpn), vpn < spillVPNs.
 func spillKey(asid tlb.ASID, vpn tlb.VPN) uint64 {
-	return uint64(asid)<<48 | uint64(vpn)&(1<<48-1)
+	return uint64(asid)<<48 | uint64(vpn)
 }
